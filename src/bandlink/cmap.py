@@ -413,24 +413,6 @@ def strands(m: CombinatorialMap) -> tuple[Strand, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Incidence:
-    """Vertex/face incidence: which distinct vertices lie on which face."""
-
-    vertices_of_face: tuple[tuple[int, ...], ...]
-    faces_of_vertex: tuple[tuple[int, ...], ...]
-
-
-def vertex_face_incidence(m: CombinatorialMap) -> Incidence:
-    fs = faces(m)
-    per_face = tuple(f.distinct_vertices for f in fs)
-    per_vertex: list[list[int]] = [[] for _ in range(m.vertex_count)]
-    for f in fs:
-        for v in f.distinct_vertices:
-            per_vertex[v - 1].append(f.id)
-    return Incidence(per_face, tuple(tuple(lst) for lst in per_vertex))
-
-
 # ---------------------------------------------------------------------------
 # Text format.  Line oriented:
 #

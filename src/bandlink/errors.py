@@ -61,7 +61,8 @@ class UnverifiedWitness(BandlinkError):
 
 
 class BudgetExceeded(BandlinkError):
-    """The exhaustive hull search hit its subset budget before finishing."""
+    """The exhaustive hull search spent its budget of face visits before
+    finishing; ``examined`` holds the visits spent."""
 
     exit_code = 4
 

@@ -1,23 +1,24 @@
 """Percolation hulls: smallest vertex sets whose closure colors everything.
 
-Two strategies.  ``hull_exact`` tries subsets in ascending size, lexicographic
-within a size, so the first hit is the canonical minimum witness.  It meters
-its own work against a budget because the search space is binomial.
-``hull_constructive_band`` walks a band diagram face by face and assembles a
-witness of size n - 1 directly, where n is the number of circles; it never
-searches, so it scales, but it only applies to band diagrams.
+Two strategies, both on the closure engine of :mod:`bandlink.percolation`.
+``hull_exact`` tries subsets in ascending size, lexicographic within a size,
+so the first hit is the canonical minimum witness; subsets that share a prefix
+share its closure.  It meters its work in face visits against a budget
+because the search space is binomial.  ``hull_constructive_band`` walks a
+band diagram face by face and assembles a witness of size n - 1 directly,
+where n is the number of circles; it never searches, so it scales, but it
+only applies to band diagrams.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
 from .band import BandDiagram
 from .cmap import CombinatorialMap, faces
-from .errors import BudgetExceeded, ConstructionStuck
-from .percolation import close_mask, face_masks
+from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
+from .percolation import Closure, check_vertices
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BANDLINK_BUDGET"
@@ -28,8 +29,9 @@ class HullResult:
     """A witness set together with how it was found.
 
     ``verified`` records that the producer checked the witness percolates;
-    ``examined`` counts face scans spent by the exhaustive search (0 for the
-    constructive route).  ``log`` narrates constructive decisions.
+    ``examined`` counts the closure engine's face visits spent by the
+    exhaustive search (0 for the constructive route).  ``log`` narrates
+    constructive decisions.
     """
 
     size: int
@@ -44,20 +46,19 @@ def _budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV)
-    if env:
+    if not env:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise BandlinkError(f"{BUDGET_ENV}={env!r} is not an integer") from None
 
 
 def verify_witness(m: CombinatorialMap, witness) -> bool:
-    """Check that a vertex set percolates; the empty map needs nothing."""
-    if m.vertex_count == 0:
-        return True
-    masks = face_masks(faces(m))
-    start = 0
-    for v in witness:
-        start |= 1 << (v - 1)
-    return close_mask(masks, start) == (1 << m.vertex_count) - 1
+    """Check on a fresh closure that a vertex set of ids in 1..V percolates."""
+    engine = Closure(m.vertex_count, faces(m))
+    engine.add(check_vertices(witness, m.vertex_count))
+    return len(engine.order) == m.vertex_count
 
 
 def hull_exact(
@@ -67,42 +68,45 @@ def hull_exact(
 ) -> HullResult:
     """Find a minimum percolating set by exhaustive ascending search.
 
-    The budget is measured in face scans (one closure round costs one scan
-    per face).  ``start_size`` skips smaller subsets: it is an assertion that
-    they all fail, so only pass it when that is already known.
+    The budget is measured in face visits of the closure engine and checked
+    after each full subset.  ``start_size`` skips smaller subsets: it is an
+    assertion that they all fail, so only pass it when that is already known.
     """
     nv = m.vertex_count
-    if nv == 0:
-        return HullResult(0, (), "exact", True)
-    masks = face_masks(faces(m))
-    full = (1 << nv) - 1
+    if not 0 <= start_size <= nv:
+        raise BandlinkError(f"start size {start_size} outside 0..{nv}")
     limit = _budget(budget)
-    spent = 0
-    nf = len(masks)
+    engine = Closure(nv, faces(m))
+    engine.add(())
     completed_size = start_size - 1 if start_size > 0 else None
     for size in range(start_size, nv + 1):
-        for subset in combinations(range(1, nv + 1), size):
-            colored = 0
-            for v in subset:
-                colored |= 1 << (v - 1)
-            while True:
-                spent += nf
-                nxt = colored
-                for mask in masks:
-                    left = mask & ~colored
-                    if left and not (left & (left - 1)):
-                        nxt |= left
-                if nxt == colored:
-                    break
-                colored = nxt
-            if spent > limit:
-                raise BudgetExceeded(
-                    f"hull search spent {spent} face scans (budget {limit})",
-                    examined=spent,
-                    best_known=completed_size,
-                )
-            if colored == full:
-                return HullResult(size, subset, "exact", True, spent)
+        # Lexicographic depth-first walk; backtracking undoes to the mark.
+        prefix: list[int] = []
+        marks: list[int] = []
+        nxt = 1
+        while True:
+            if len(prefix) == size:
+                if engine.visits > limit:
+                    raise BudgetExceeded(
+                        f"hull search spent {engine.visits} face visits "
+                        f"(budget {limit})",
+                        examined=engine.visits,
+                        best_known=completed_size,
+                    )
+                if len(engine.order) == nv:
+                    return HullResult(
+                        size, tuple(prefix), "exact", True, engine.visits
+                    )
+            if len(prefix) < size and nxt <= nv - size + len(prefix) + 1:
+                marks.append(len(engine.order))
+                engine.add((nxt,))
+                prefix.append(nxt)
+                nxt += 1
+            elif prefix:
+                engine.undo(marks.pop())
+                nxt = prefix.pop() + 1
+            else:
+                break
         completed_size = size
     raise RuntimeError("the full vertex set failed to percolate")
 
@@ -143,51 +147,47 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         return HullResult(0, (), "constructive", True)
 
     faces_list = faces(m)
-    masks = face_masks(faces_list)
-    full = (1 << m.vertex_count) - 1
     base_faces = [f for f in faces_list if bd.face_provenance[f.id - 1] is not None]
     if not base_faces:
         raise ConstructionStuck("no base-derived faces to walk", ())
 
-    circle_bits = [0] * bd.n
+    circle_vertices: list[list[int]] = [[] for _ in range(bd.n)]
     for v in range(1, m.vertex_count + 1):
         for c in bd.circles_of_vertex[v - 1]:
-            circle_bits[c - 1] |= 1 << (v - 1)
+            circle_vertices[c - 1].append(v)
+    # One engine serves every start face: each attempt grows it with add()
+    # and is undone back to the empty coloring before the next.
+    engine = Closure(m.vertex_count, faces_list)
+    colored = engine.colored
 
-    def picks_along(face, positions, state: int, excluded: int | None) -> list[int]:
-        picks = []
+    def picks_along(face, positions, excluded: int | None) -> list[int]:
+        picks: list[int] = []
         for pos in positions:
             v = face.vertex_list[pos]
-            if v == excluded or state >> (v - 1) & 1:
+            if v == excluded or colored[v] or v in picks:
                 continue
             if any(
-                circle_bits[c - 1] & state == 0
+                not any(colored[u] or u in picks for u in circle_vertices[c - 1])
                 for c in bd.circles_of_vertex[v - 1]
             ):
                 picks.append(v)
-                state |= 1 << (v - 1)
         return picks
-
-    def mask_of(vs) -> int:
-        out = 0
-        for v in vs:
-            out |= 1 << (v - 1)
-        return out
 
     def attempt(f0, log: list[str]) -> set[int] | None:
         """One pass of the walk from f0; None signals a dead end."""
+        engine.undo(0)
         picks = picks_along(
-            f0, range(len(f0.vertex_list)), 0, max(f0.distinct_vertices)
+            f0, range(len(f0.vertex_list)), max(f0.distinct_vertices)
         )
         manual = set(picks)
         log.append(
             f"start face {f0.id}: color " + " ".join(str(v) for v in picks)
         )
-        colored = close_mask(masks, mask_of(manual))
-        while colored != full:
+        engine.add(picks)
+        while len(engine.order) < m.vertex_count:
             progressed = False
             for f in base_faces:
-                flags = [bool(colored >> (v - 1) & 1) for v in f.vertex_list]
+                flags = [colored[v] for v in f.vertex_list]
                 if all(flags):
                     continue
                 run = _one_cyclic_run(flags)
@@ -198,14 +198,14 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
                 positions = [
                     (start + length + j) % nf for j in range(nf - length)
                 ]
-                picks = picks_along(f, positions, colored, None)
+                picks = picks_along(f, positions, None)
                 if not picks:
                     continue
                 manual.update(picks)
                 log.append(
                     f"face {f.id}: color " + " ".join(str(v) for v in picks)
                 )
-                colored = close_mask(masks, mask_of(manual))
+                engine.add(picks)
                 progressed = True
                 break
             if not progressed:

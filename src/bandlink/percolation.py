@@ -6,6 +6,10 @@ colored.  A face with a single distinct vertex therefore colors that vertex
 unconditionally.  Rounds are simultaneous; the closed set is independent of
 scheduling, which the test suite checks against a one-vertex-per-step
 reference.
+
+The rule is written once, in the incremental engine :class:`Closure`.  Its
+work unit is the face visit: one per face when the engine is built, plus one
+per face a newly colored vertex touches.
 """
 
 from __future__ import annotations
@@ -60,12 +64,69 @@ class PercolationTrace:
     entries: tuple[TraceEntry, ...] = field(default_factory=tuple)
 
 
-def _check_manual(manual: Iterable[int], vertex_count: int) -> frozenset[int]:
-    out = frozenset(manual)
+def check_vertices(vertices: Iterable[int], vertex_count: int) -> frozenset[int]:
+    """The distinct vertex ids given, each checked to lie in 1..vertex_count."""
+    out = frozenset(vertices)
     for v in out:
         if not 1 <= v <= vertex_count:
             raise UnknownVertex(f"vertex {v} outside 1..{vertex_count}")
     return out
+
+
+class Closure:
+    """Incremental percolation state over one map's faces (internal).
+
+    Each face keeps the count of its uncolored distinct vertices and the sum
+    of their ids.  When the count drops to 1 the sum is the vertex that face
+    colors, and the face joins ``ready``; a face with a single distinct
+    vertex starts there.  ``order`` lists the colored vertices in coloring
+    order, so a mark is a length of it.  ``visits`` counts face visits: one
+    per face at construction plus one per face each colored vertex touches.
+    """
+
+    def __init__(self, vertex_count: int, faces_list: Sequence[Face]):
+        self.count = [len(f.distinct_vertices) for f in faces_list]
+        self.sum = [sum(f.distinct_vertices) for f in faces_list]
+        self.faces_of: list[list[int]] = [[] for _ in range(vertex_count + 1)]
+        for i, f in enumerate(faces_list):
+            for v in f.distinct_vertices:
+                self.faces_of[v].append(i)
+        self.ready = [i for i, c in enumerate(self.count) if c == 1]
+        self.colored = [False] * (vertex_count + 1)
+        self.order: list[int] = []
+        self.visits = len(faces_list)
+
+    def color(self, v: int) -> None:
+        """Color one uncolored vertex, without running to the fixpoint."""
+        self.colored[v] = True
+        self.order.append(v)
+        self.visits += len(self.faces_of[v])
+        for f in self.faces_of[v]:
+            self.count[f] -= 1
+            self.sum[f] -= v
+            if self.count[f] == 1:
+                self.ready.append(f)
+
+    def add(self, vertices: Iterable[int]) -> None:
+        """Color the given vertices, then run the rule to its fixpoint."""
+        for v in vertices:
+            if not self.colored[v]:
+                self.color(v)
+        while self.ready:
+            f = self.ready.pop()
+            if self.count[f] == 1:
+                self.color(self.sum[f])
+
+    def undo(self, mark: int) -> None:
+        """Uncolor every vertex colored after ``len(order)`` was ``mark``."""
+        while len(self.order) > mark:
+            v = self.order.pop()
+            self.colored[v] = False
+            for f in self.faces_of[v]:
+                self.count[f] += 1
+                self.sum[f] += v
+                if self.count[f] == 1:
+                    self.ready.append(f)
 
 
 def close(
@@ -79,74 +140,34 @@ def close(
     previous round; a vertex colored this round records the smallest face id
     that witnessed it.
     """
-    manual_set = _check_manual(manual, m.vertex_count)
-    colored = set(manual_set)
+    manual_set = check_vertices(manual, m.vertex_count)
+    engine = Closure(m.vertex_count, faces_list)
+    for v in manual_set:
+        engine.color(v)
     auto: dict[int, int] = {}
     entries: list[TraceEntry] = []
     step = 0
     while True:
         step += 1
+        firing = sorted(f for f in engine.ready if engine.count[f] == 1)
+        engine.ready.clear()
         newly: dict[int, int] = {}
-        for face in faces_list:
-            uncolored = [v for v in face.distinct_vertices if v not in colored]
-            if len(uncolored) == 1 and uncolored[0] not in newly:
-                newly[uncolored[0]] = face.id
+        for f in firing:
+            newly.setdefault(engine.sum[f], faces_list[f].id)
         if not newly:
             break
         for v in sorted(newly):
             auto[v] = step
             entries.append(TraceEntry(step, v, newly[v]))
-        colored.update(newly)
+            engine.color(v)
     face_steps: dict[int, int] = {}
-    for face in faces_list:
-        if all(v in colored for v in face.distinct_vertices):
+    for face, left in zip(faces_list, engine.count):
+        if left == 0:
             face_steps[face.id] = max(
                 (auto.get(v, 0) for v in face.distinct_vertices), default=0
             )
     coloring = Coloring(manual_set, auto, face_steps, m.vertex_count)
     return coloring, PercolationTrace(tuple(sorted(manual_set)), tuple(entries))
-
-
-def percolates(
-    m: CombinatorialMap,
-    faces_list: Sequence[Face],
-    manual: Iterable[int],
-) -> bool:
-    """True when the closure of ``manual`` colors every vertex."""
-    masks = face_masks(faces_list)
-    start = 0
-    for v in _check_manual(manual, m.vertex_count):
-        start |= 1 << (v - 1)
-    closed = close_mask(masks, start)
-    return closed == (1 << m.vertex_count) - 1 if m.vertex_count else True
-
-
-# Bitmask core shared with the exhaustive hull search: vertex v occupies
-# bit v-1, one mask per face.
-
-
-def face_masks(faces_list: Sequence[Face]) -> tuple[int, ...]:
-    out = []
-    for face in faces_list:
-        mask = 0
-        for v in face.distinct_vertices:
-            mask |= 1 << (v - 1)
-        out.append(mask)
-    return tuple(out)
-
-
-def close_mask(masks: Sequence[int], start: int) -> int:
-    """Fixpoint of the percolation rule on bitmasks."""
-    colored = start
-    changed = True
-    while changed:
-        changed = False
-        for mask in masks:
-            left = mask & ~colored
-            if left and not (left & (left - 1)):
-                colored |= left
-                changed = True
-    return colored
 
 
 # Trace serialisation: a `manual:` line followed by one line per colored
@@ -173,7 +194,8 @@ def trace_to_json(trace: PercolationTrace) -> str:
 
 def coloring_from_trace(trace: PercolationTrace, vertex_count: int) -> Coloring:
     """Rebuild the coloring a trace describes (face_steps stays empty)."""
-    manual = _check_manual(trace.manual, vertex_count)
+    manual = check_vertices(trace.manual, vertex_count)
+    check_vertices((e.vertex for e in trace.entries), vertex_count)
     auto = {e.vertex: e.step for e in trace.entries}
     return Coloring(manual, auto, {}, vertex_count)
 

@@ -5,9 +5,10 @@ Every generator takes an explicit rng; nothing here touches global state.
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
-from bandlink import BandSpec, CombinatorialMap, derived_genus
+from bandlink import BandSpec, CombinatorialMap, derived_genus, faces
 from bandlink.errors import BandlinkError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -134,3 +135,41 @@ def sequential_close(rng, faces_list, manual) -> set[int]:
         if not candidates:
             return colored
         colored.add(rng.choice(sorted(candidates)))
+
+
+def close_mask(masks, start: int) -> int:
+    """Bitmask fixpoint of the percolation rule: vertex v is bit v-1."""
+    colored = start
+    changed = True
+    while changed:
+        changed = False
+        for mask in masks:
+            left = mask & ~colored
+            if left and not (left & (left - 1)):
+                colored |= left
+                changed = True
+    return colored
+
+
+def reference_hull(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:
+    """(size, witness) of the lexicographically least minimum percolating set.
+
+    The bitmask search ``hull_exact`` used before the incremental closure
+    engine: subsets in ascending size, lexicographic within a size, each
+    closed from scratch.  Kept as a differential oracle for small maps.
+    """
+    masks = []
+    for face in faces(m):
+        mask = 0
+        for v in face.distinct_vertices:
+            mask |= 1 << (v - 1)
+        masks.append(mask)
+    full = (1 << m.vertex_count) - 1
+    for size in range(m.vertex_count + 1):
+        for subset in combinations(range(1, m.vertex_count + 1), size):
+            start = 0
+            for v in subset:
+                start |= 1 << (v - 1)
+            if close_mask(masks, start) == full:
+                return size, subset
+    raise AssertionError("the full vertex set failed to percolate")

@@ -140,6 +140,21 @@ class TestHull:
         assert main(["hull", path, "--budget", "3"]) == 4
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["hull", "report"])
+    @pytest.mark.parametrize("size", ["99", "-3"])
+    def test_start_size_out_of_range(self, built, command, size, capsys):
+        path, _ = built
+        assert main([command, path, "--start-size", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: start size") and err.count("\n") == 1
+
+    def test_budget_env_must_be_an_integer(self, built, monkeypatch, capsys):
+        path, _ = built
+        monkeypatch.setenv("BANDLINK_BUDGET", "abc")
+        assert main(["hull", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BANDLINK_BUDGET") and err.count("\n") == 1
+
     def test_flags_are_exclusive(self, built, capsys):
         path, _ = built
         assert main(["hull", path, "--exact", "--constructive"]) == 1
@@ -191,6 +206,15 @@ class TestRender:
         body = svg.read_text()
         assert body.count("#f4a261") == 2
         assert "#c0392b" in body
+
+    def test_trace_vertex_out_of_range(self, built, tmp_path, capsys):
+        path, _ = built
+        trace = tmp_path / "t.txt"
+        trace.write_text("manual: 1 3\nstep 1 vertex 99 face 1\n")
+        svg = tmp_path / "out.svg"
+        assert main(["render", path, "--trace", str(trace), "-o", str(svg)]) == 2
+        assert "vertex 99" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_torus_rejected(self, capsys):
         assert main(["render", TORUS]) == 2

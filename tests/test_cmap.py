@@ -15,7 +15,6 @@ from bandlink import (
     save_cmap,
     strands,
     validate,
-    vertex_face_incidence,
 )
 from bandlink.errors import CmapFormatError, GenusMismatch, MalformedPermutation
 from helpers import random_map, relabel
@@ -83,10 +82,6 @@ class TestTriangle:
         ss = strands(triangle)
         assert len(ss) == 1
         assert ss[0].darts == (1, 5, 3, 6, 2, 4)
-
-    def test_incidence(self, triangle):
-        inc = vertex_face_incidence(triangle)
-        assert inc.faces_of_vertex == ((1, 2), (1, 2), (1, 2))
 
 
 class TestCurl:

@@ -5,14 +5,12 @@ import pytest
 from bandlink import (
     BandSpec,
     build_band,
-    faces,
     hull_constructive_band,
     hull_exact,
-    percolates,
     verify_witness,
 )
 from bandlink.errors import BudgetExceeded, ConstructionStuck
-from helpers import chain_spec, circle_map, random_spec
+from helpers import chain_spec, random_spec, reference_hull
 
 
 class TestVerifyWitness:
@@ -72,6 +70,29 @@ class TestExact:
         assert result.examined > 0
 
 
+class TestExactAgainstReference:
+    """Same size and witness as the bitmask search hull_exact replaced."""
+
+    def test_fixtures_and_chains(
+        self, triangle, curl, torus, loop1, chain2_base, chain3_band, curl_band,
+        torus_band,
+    ):
+        maps = [triangle, curl, torus, loop1, chain2_base]
+        maps += [bd.diagram for bd in (chain3_band, curl_band, torus_band)]
+        maps += [build_band(chain_spec(n)).diagram for n in range(1, 9)]
+        for m in maps:
+            result = hull_exact(m)
+            assert (result.size, result.witness) == reference_hull(m)
+
+    @pytest.mark.parametrize("genus, runs", [(0, 30), (1, 8)])
+    def test_fuzzed_bands(self, genus, runs):
+        rng = random.Random(51 + genus)
+        for _ in range(runs):
+            m = build_band(random_spec(rng, cap=16, want_genus=genus)).diagram
+            result = hull_exact(m)
+            assert (result.size, result.witness) == reference_hull(m)
+
+
 class TestConstructive:
     def test_three_chain(self, chain3_band):
         result = hull_constructive_band(chain3_band)
@@ -86,7 +107,7 @@ class TestConstructive:
             bd = build_band(chain_spec(n))
             result = hull_constructive_band(bd)
             assert result.size == n - 1
-            assert percolates(bd.diagram, faces(bd.diagram), result.witness)
+            assert verify_witness(bd.diagram, result.witness)
 
     def test_curl_band(self, curl_band):
         result = hull_constructive_band(curl_band)
@@ -97,7 +118,7 @@ class TestConstructive:
         bd = build_band(BandSpec(loop1, (0,), ((0,),)))
         result = hull_constructive_band(bd)
         assert result.size == 0
-        assert percolates(bd.diagram, faces(bd.diagram), result.witness)
+        assert verify_witness(bd.diagram, result.witness)
 
     def test_agrees_with_exact_on_fuzz(self):
         rng = random.Random(41)
@@ -105,9 +126,7 @@ class TestConstructive:
             bd = build_band(random_spec(rng))
             constructive = hull_constructive_band(bd)
             assert constructive.size == bd.n - 1
-            assert percolates(
-                bd.diagram, faces(bd.diagram), constructive.witness
-            )
+            assert verify_witness(bd.diagram, constructive.witness)
             exact = hull_exact(bd.diagram, budget=400_000)
             assert exact.size == constructive.size
 

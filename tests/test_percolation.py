@@ -4,23 +4,24 @@ import random
 import pytest
 
 from bandlink import (
+    PercolationTrace,
+    TraceEntry,
     close,
-    close_mask,
     coloring_from_trace,
-    face_masks,
     faces,
     format_trace,
     parse_trace,
-    percolates,
     trace_to_json,
+    verify_witness,
 )
 from bandlink.errors import UnknownVertex
+from bandlink.percolation import Closure
 from helpers import random_map, sequential_close
 
 
 class TestCurl:
     def test_empty_set_percolates(self, curl):
-        assert percolates(curl, faces(curl), ())
+        assert verify_witness(curl, ())
 
     def test_single_vertex_faces_fire_first(self, curl):
         coloring, trace = close(curl, faces(curl), ())
@@ -36,10 +37,9 @@ class TestCurl:
 
 class TestTriangle:
     def test_needs_two_vertices(self, triangle):
-        fs = faces(triangle)
-        assert not percolates(triangle, fs, ())
-        assert not percolates(triangle, fs, [2])
-        assert percolates(triangle, fs, [1, 3])
+        assert not verify_witness(triangle, ())
+        assert not verify_witness(triangle, [2])
+        assert verify_witness(triangle, [1, 3])
 
     def test_close_records_witness_face(self, triangle):
         coloring, trace = close(triangle, faces(triangle), [1, 3])
@@ -59,7 +59,9 @@ class TestArguments:
         with pytest.raises(UnknownVertex):
             close(triangle, faces(triangle), [4])
         with pytest.raises(UnknownVertex):
-            percolates(triangle, faces(triangle), [0])
+            verify_witness(triangle, [0])
+        with pytest.raises(UnknownVertex):
+            verify_witness(triangle, [1, 3, 99])
 
     def test_manual_may_repeat(self, triangle):
         coloring, _ = close(triangle, faces(triangle), [1, 1, 3])
@@ -87,23 +89,64 @@ class TestTraceFormats:
         assert again.colored == coloring.colored
         assert again.step_of(2) == coloring.step_of(2)
 
+    def test_coloring_from_trace_checks_entries(self):
+        trace = PercolationTrace((1,), (TraceEntry(1, 99, 1),))
+        with pytest.raises(UnknownVertex):
+            coloring_from_trace(trace, 6)
 
-class TestMaskCore:
-    def test_masks_match_close(self):
+
+def _engine_state(engine: Closure):
+    return list(engine.count), list(engine.sum), list(engine.colored)
+
+
+class TestEngine:
+    def test_fixpoint_matches_sequential_reference(self):
         rng = random.Random(21)
         for _ in range(40):
             m = random_map(rng)
             fs = faces(m)
-            masks = face_masks(fs)
             manual = {
                 v for v in range(1, m.vertex_count + 1) if rng.random() < 0.3
             }
-            start = 0
-            for v in manual:
-                start |= 1 << (v - 1)
-            closed = close_mask(masks, start)
-            coloring, _ = close(m, fs, manual)
-            assert closed == sum(1 << (v - 1) for v in coloring.colored)
+            engine = Closure(m.vertex_count, fs)
+            engine.add(manual)
+            assert set(engine.order) == sequential_close(rng, fs, manual)
+            assert len(engine.order) == len(set(engine.order))
+
+    def test_add_is_incremental(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            m = random_map(rng)
+            fs = faces(m)
+            everybody = range(1, m.vertex_count + 1)
+            a = [v for v in everybody if rng.random() < 0.2]
+            b = [v for v in everybody if rng.random() < 0.2]
+            stepwise = Closure(m.vertex_count, fs)
+            stepwise.add(a)
+            stepwise.add(b)
+            at_once = Closure(m.vertex_count, fs)
+            at_once.add(set(a) | set(b))
+            assert set(stepwise.order) == set(at_once.order)
+            assert _engine_state(stepwise) == _engine_state(at_once)
+
+    def test_undo_restores_state(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            m = random_map(rng)
+            engine = Closure(m.vertex_count, faces(m))
+            everybody = range(1, m.vertex_count + 1)
+            snapshots = [(0, _engine_state(engine))]
+            for _ in range(3):
+                engine.add(v for v in everybody if rng.random() < 0.2)
+                snapshots.append((len(engine.order), _engine_state(engine)))
+            for mark, state in reversed(snapshots):
+                engine.undo(mark)
+                assert len(engine.order) == mark
+                assert _engine_state(engine) == state
+            engine.add(())
+            fresh = Closure(m.vertex_count, faces(m))
+            fresh.add(())
+            assert _engine_state(engine) == _engine_state(fresh)
 
 
 class TestClosureProperties:
