@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .cmap import (
-    CombinatorialMap,
-    Face,
-    faces,
-    load_cmap,
-    strands,
-    validate,
-)
+from .cmap import CombinatorialMap, load_cmap, validate
 from .errors import (
     BadValence,
     BandSpecError,
@@ -41,6 +34,7 @@ from .errors import (
 KIND_CLASP = "clasp"
 KIND_HASH = "hash"
 KIND_TWIST = "twist"
+KINDS = (KIND_CLASP, KIND_HASH, KIND_TWIST)
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,9 @@ class BandSpec:
 
     ``subdivisions[e]`` counts the 2-valent vertices inserted into canonical
     edge e+1 of the base; ``twists[e]`` gives one twist count per resulting
-    segment (so it has subdivisions[e] + 1 entries).
+    segment (so it has subdivisions[e] + 1 entries).  Construction checks
+    the spec and its base once (:func:`check_spec`), so every BandSpec is
+    buildable.
     """
 
     base: CombinatorialMap
@@ -73,42 +69,45 @@ class BandSpec:
     def __post_init__(self):
         object.__setattr__(self, "subdivisions", tuple(self.subdivisions))
         object.__setattr__(self, "twists", tuple(tuple(t) for t in self.twists))
+        check_spec(self)
 
 
 @dataclass(frozen=True)
 class BandDiagram:
-    """A built band diagram plus the provenance of its parts."""
+    """A built band diagram plus the provenance of its parts.
+
+    Circles are the diagram's strands: circle i is strand i.  The circle
+    count ``n``, ``circles_of_vertex`` and ``degenerate`` are derived from
+    the diagram on first use, never stored.
+    """
 
     diagram: CombinatorialMap
     crossing_kind: tuple[Crossing, ...]
-    circle_of_strand: tuple[int, ...]
     face_provenance: tuple[int | None, ...]
-    n: int
-    degenerate: bool = False
 
-    @cached_property
-    def _strand_of_dart(self) -> tuple[int, ...]:
-        out = [0] * self.diagram.dart_count
-        for s in strands(self.diagram):
-            for d in s.darts:
-                out[d - 1] = s.id
-        return tuple(out)
+    @property
+    def n(self) -> int:
+        return len(self.diagram.strands)
 
     @cached_property
     def circles_of_vertex(self) -> tuple[tuple[int, int], ...]:
         """The two circles meeting at each crossing (equal for self-crossings)."""
+        circle_of_dart = [0] * (self.diagram.dart_count + 1)
+        for s in self.diagram.strands:
+            for d in s.darts:
+                circle_of_dart[d] = s.id
         out = []
         for cyc in self.diagram.vertex_cycles:
-            a = self.circle_of_strand[self._strand_of_dart[cyc[0] - 1] - 1]
-            b = self.circle_of_strand[self._strand_of_dart[cyc[1] - 1] - 1]
+            a, b = circle_of_dart[cyc[0]], circle_of_dart[cyc[1]]
             out.append((a, b) if a <= b else (b, a))
         return tuple(out)
 
-    def base_face_ids(self) -> tuple[int, ...]:
-        return tuple(
-            fid
-            for fid, origin in enumerate(self.face_provenance, start=1)
-            if origin is not None
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether some clasp joins a circle to itself."""
+        return any(
+            cr.kind == KIND_CLASP and a == b
+            for cr, (a, b) in zip(self.crossing_kind, self.circles_of_vertex)
         )
 
 
@@ -127,7 +126,7 @@ def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:
 
 
 def check_spec(spec: BandSpec) -> None:
-    """Validate a band spec against its base map."""
+    """Validate a band spec against its base; BandSpec runs this on construction."""
     base = spec.base
     validate(base)
     _check_valences(base)
@@ -199,8 +198,7 @@ def subdivide(m: CombinatorialMap, subdivisions: Sequence[int]) -> Combinatorial
         tuple(subdivisions),
         tuple((0,) * (k + 1) for k in subdivisions),
     )
-    check_spec(spec)
-    return _subdivide(m, tuple(subdivisions))[0]
+    return _subdivide(m, spec.subdivisions)[0]
 
 
 # Gadget dart offsets within a crossing's rotation (darts 4c+1 .. 4c+4).
@@ -289,18 +287,18 @@ class _Builder:
 def build_band(spec: BandSpec) -> BandDiagram:
     """Build the band diagram a spec describes, on the same surface.
 
-    The builder checks its own output: Euler/genus per component, the vertex
-    census 2C + 4H + sum(t), one circle per 2-valent vertex, and a bijection
+    The builder checks its own output: Euler/genus per component of the
+    subdivided map and of the diagram, the vertex census 2C + 4H + sum(t),
+    one circle per 2-valent vertex, twists as self-crossings, and a bijection
     between base faces and the diagram faces inherited from them.
     """
-    check_spec(spec)
-    base_report = validate(spec.base)
-    m, segments = _subdivide(spec.base, spec.subdivisions)
+    base = spec.base
+    m, segments = _subdivide(base, spec.subdivisions)
+    validate(m, base.component_genera if len(base.components) > 1 else None)
     two, four = _check_valences(m)
-    n_expected = len(two)
 
     seg_twist: dict[tuple[int, int], int] = {}
-    for eid in range(1, spec.base.edge_count + 1):
+    for eid in range(1, base.edge_count + 1):
         for pair, t in zip(segments[eid - 1], spec.twists[eid - 1]):
             seg_twist[pair] = t
 
@@ -315,75 +313,38 @@ def build_band(spec: BandSpec) -> BandDiagram:
         t = seg_twist.get((d, dp), 0)
         twist_total += t
         b.corridor(eid, d, dp, t)
-    dl = b.finish(spec.base.declared_genus)
+    dl = b.finish(base.declared_genus)
 
-    if dl.vertex_count != 2 * n_expected + 4 * len(four) + twist_total:
+    if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
         raise RuntimeError("crossing census does not add up")
 
-    # Genus preservation, component by component.
-    m_genus = {
-        comp[0]: g
-        for comp, g in zip(m.components, validate(m, base_report.component_genera
-                                                  if base_report.component_count > 1
-                                                  else None).component_genera)
-    }
-    owner_dart = {}
-    for cid, cr in enumerate(b.crossings):
-        if cr.kind == KIND_TWIST:
-            owner_dart[cid] = m.edge_pairs[cr.owner - 1][0]
-        else:
-            owner_dart[cid] = m.vertex_cycles[cr.owner - 1][0]
-
-    def m_component_of(m_dart: int) -> int:
-        for comp in m.components:
-            if m_dart in comp:
-                return comp[0]
-        raise RuntimeError("dart outside every component")
-
-    expected_genera = tuple(
-        m_genus[m_component_of(owner_dart[(comp[0] - 1) // 4])]
-        for comp in dl.components
-    )
+    # Genus preservation, component by component: each diagram component
+    # must carry the genus of the subdivided component its crossings came from.
     if len(dl.components) != len(m.components):
         raise GenusMismatch(
             f"band diagram has {len(dl.components)} components but the base "
             f"has {len(m.components)}"
         )
+    genus_of_dart = [0] * (m.dart_count + 1)
+    for comp, g in zip(m.components, m.component_genera):
+        for d in comp:
+            genus_of_dart[d] = g
+
+    def owner_genus(dl_dart: int) -> int:
+        cr = b.crossings[(dl_dart - 1) // 4]
+        if cr.kind == KIND_TWIST:
+            return genus_of_dart[m.edge_pairs[cr.owner - 1][0]]
+        return genus_of_dart[m.vertex_cycles[cr.owner - 1][0]]
+
+    expected_genera = tuple(owner_genus(comp[0]) for comp in dl.components)
     validate(dl, expected_genera if len(dl.components) > 1 else None)
-    if len(dl.components) == 1 and expected_genera[0] != dl.declared_genus:
-        raise GenusMismatch(
-            f"band diagram landed on genus {expected_genera[0]} instead of "
-            f"{dl.declared_genus}"
-        )
 
-    dl_strands = strands(dl)
-    if len(dl_strands) != n_expected:
-        raise RuntimeError(
-            f"{len(dl_strands)} circles for {n_expected} 2-valent vertices"
-        )
-    circle_of_strand = tuple(range(1, len(dl_strands) + 1))
-
-    strand_of_dart = [0] * dl.dart_count
-    for s in dl_strands:
-        for d in s.darts:
-            strand_of_dart[d - 1] = s.id
-
-    degenerate = False
-    for cid, cr in enumerate(b.crossings):
-        c0 = strand_of_dart[4 * cid]
-        c1 = strand_of_dart[4 * cid + 1]
-        if cr.kind == KIND_TWIST and c0 != c1:
-            raise RuntimeError(f"twist crossing {cid + 1} is not a self-crossing")
-        if cr.kind == KIND_CLASP and c0 == c1:
-            degenerate = True
-
-    dl_faces = faces(dl)
     face_of_dart = {}
-    for f in dl_faces:
+    for f in dl.faces:
         for d in f.boundary:
             face_of_dart[d] = f.id
-    provenance: list[int | None] = [None] * len(dl_faces)
-    for mf in faces(m):
+    provenance: list[int | None] = [None] * len(dl.faces)
+    for mf in m.faces:
         dl_dart = b.ports[(mf.boundary[0], "R")]
         fid = face_of_dart[dl_dart]
         if provenance[fid - 1] is not None:
@@ -393,14 +354,15 @@ def build_band(spec: BandSpec) -> BandDiagram:
             )
         provenance[fid - 1] = mf.id
 
-    return BandDiagram(
-        diagram=dl,
-        crossing_kind=tuple(b.crossings),
-        circle_of_strand=circle_of_strand,
-        face_provenance=tuple(provenance),
-        n=len(dl_strands),
-        degenerate=degenerate,
-    )
+    bd = BandDiagram(dl, tuple(b.crossings), tuple(provenance))
+    if bd.n != len(two):
+        raise RuntimeError(f"{bd.n} circles for {len(two)} 2-valent vertices")
+    for vid, (cr, (c0, c1)) in enumerate(
+        zip(bd.crossing_kind, bd.circles_of_vertex), start=1
+    ):
+        if cr.kind == KIND_TWIST and c0 != c1:
+            raise RuntimeError(f"twist crossing {vid} is not a self-crossing")
+    return bd
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +450,11 @@ def load_band_spec(path) -> BandSpec:
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandSpecError(f"{path}: missing 'map' entry")
     map_path = doc["map"]
+    if not isinstance(map_path, str):
+        raise BandSpecError(f"{path}: 'map' must be a path string")
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise BandSpecError(f"{path}: 'edges' must be a list")
     if not os.path.isabs(map_path):
         map_path = os.path.join(os.path.dirname(os.path.abspath(path)), map_path)
     base = load_cmap(map_path)
@@ -495,12 +462,12 @@ def load_band_spec(path) -> BandSpec:
     subdivisions = [0] * e_count
     twists: list[tuple[int, ...]] = [(0,)] * e_count
     seen = set()
-    for entry in doc.get("edges", []):
+    for entry in edges:
         try:
             eid = int(entry["edge"])
             k = int(entry.get("subdivisions", 0))
             ts = tuple(int(t) for t in entry.get("twists", (0,) * (k + 1)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise BandSpecError(f"bad edge entry {entry!r}") from exc
         if not 1 <= eid <= e_count:
             raise BandSpecError(f"edge id {eid} outside 1..{e_count}")
@@ -509,9 +476,7 @@ def load_band_spec(path) -> BandSpec:
         seen.add(eid)
         subdivisions[eid - 1] = k
         twists[eid - 1] = ts
-    spec = BandSpec(base, tuple(subdivisions), tuple(twists))
-    check_spec(spec)
-    return spec
+    return BandSpec(base, tuple(subdivisions), tuple(twists))
 
 
 def provenance_to_json(bd: BandDiagram) -> str:
@@ -523,7 +488,7 @@ def provenance_to_json(bd: BandDiagram) -> str:
             {"vertex": vid, "kind": cr.kind, "owner": cr.owner, "slot": cr.slot}
             for vid, cr in enumerate(bd.crossing_kind, start=1)
         ],
-        "circle_of_strand": list(bd.circle_of_strand),
+        "circle_of_strand": list(range(1, bd.n + 1)),
         "face_provenance": [
             {"face": fid, "kind": "internal"}
             if origin is None
@@ -534,42 +499,66 @@ def provenance_to_json(bd: BandDiagram) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _slot(entry: dict, key: str, slots: list) -> int:
+    """The 1-based id ``entry[key]``, checked to name a free slot of ``slots``."""
+    i = int(entry[key])
+    if not 1 <= i <= len(slots):
+        raise ProvenanceError(f"{key} {i} outside 1..{len(slots)}")
+    if slots[i - 1] is not None:
+        raise ProvenanceError(f"{key} {i} listed twice")
+    return i
+
+
 def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
-    """Rebuild a BandDiagram from a map plus its provenance sidecar."""
+    """Rebuild a BandDiagram from a map plus its provenance sidecar.
+
+    Crossing and face entries must cover each vertex and face id once, and
+    the recorded ``n``, ``degenerate`` and ``circle_of_strand`` must equal
+    the values derived from the map.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProvenanceError(f"bad provenance JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProvenanceError("provenance document is not a JSON object")
     if doc.get("format") != PROVENANCE_FORMAT:
         raise ProvenanceError(f"unknown provenance format {doc.get('format')!r}")
     try:
-        kinds = [None] * m.vertex_count
+        kinds: list[Crossing | None] = [None] * m.vertex_count
         for entry in doc["crossing_kind"]:
-            kinds[int(entry["vertex"]) - 1] = Crossing(
-                str(entry["kind"]), int(entry["owner"]), int(entry["slot"])
+            vid = _slot(entry, "vertex", kinds)
+            if entry["kind"] not in KINDS:
+                raise ProvenanceError(f"vertex {vid}: unknown kind {entry['kind']!r}")
+            kinds[vid - 1] = Crossing(
+                entry["kind"], int(entry["owner"]), int(entry["slot"])
             )
-        circle_of_strand = tuple(int(c) for c in doc["circle_of_strand"])
-        provenance: list[int | None] = [None] * len(doc["face_provenance"])
+        listed: list[dict | None] = [None] * len(m.faces)
         for entry in doc["face_provenance"]:
-            if entry["kind"] == "base":
-                provenance[int(entry["face"]) - 1] = int(entry["base_face"])
-        n = int(doc["n"])
-        degenerate = bool(doc.get("degenerate", False))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            fid = _slot(entry, "face", listed)
+            if entry["kind"] not in ("base", "internal"):
+                raise ProvenanceError(f"face {fid}: unknown kind {entry['kind']!r}")
+            listed[fid - 1] = entry
+        if any(entry is None for entry in listed):
+            raise ProvenanceError("face list does not match the map's faces")
+        provenance = tuple(
+            int(entry["base_face"]) if entry["kind"] == "base" else None
+            for entry in listed
+        )
+        recorded = {key: doc[key] for key in ("n", "degenerate", "circle_of_strand")}
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ProvenanceError(f"incomplete provenance document: {exc}") from exc
     if any(k is None for k in kinds):
         raise ProvenanceError("provenance does not cover every vertex")
-    if len(strands(m)) != len(circle_of_strand):
-        raise ProvenanceError("circle list does not match the map's strands")
-    if len(provenance) != len(faces(m)):
-        raise ProvenanceError("face list does not match the map's faces")
-    if n != len(circle_of_strand):
-        raise ProvenanceError("component count does not match the circle list")
-    return BandDiagram(
-        diagram=m,
-        crossing_kind=tuple(kinds),
-        circle_of_strand=circle_of_strand,
-        face_provenance=tuple(provenance),
-        n=n,
-        degenerate=degenerate,
-    )
+    bd = BandDiagram(m, tuple(kinds), provenance)
+    derived = {
+        "n": bd.n,
+        "degenerate": bd.degenerate,
+        "circle_of_strand": list(range(1, bd.n + 1)),
+    }
+    for key, want in derived.items():
+        if recorded[key] != want:
+            raise ProvenanceError(
+                f"provenance {key} {recorded[key]!r} does not match the map's {want!r}"
+            )
+    return bd

@@ -45,16 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load(path: str, provenance: str | None = None):
+def _load(path: str, provenance: str | None = None, genera=None):
     """Resolve a map argument to (map, band context or None).
 
-    A .json path is a band spec, built on the spot; anything else is a .cmap
-    file, optionally paired with a provenance sidecar.
+    A .json path is a band spec, built on the spot (the builder checks what
+    it builds); anything else is a .cmap file, validated here once against
+    ``genera`` and optionally paired with a provenance sidecar.  Nothing
+    downstream validates again.
     """
     if path.endswith(".json"):
         bd = build_band(load_band_spec(path))
+        if genera is not None:
+            validate(bd.diagram, genera)
         return bd.diagram, bd
     m = load_cmap(path)
+    validate(m, genera)
     if provenance:
         with open(provenance, "r", encoding="utf-8") as fh:
             return m, band_diagram_from_provenance(m, fh.read())
@@ -73,12 +78,14 @@ def _parse_ints(values) -> list[int]:
 
 
 def _cmd_validate(args) -> int:
-    m, bd = _load(args.path)
     genera = _parse_ints(args.genera) if args.genera else None
-    rep = validate(m, genera)
-    line = f"V={rep.vertex_count} E={rep.edge_count} F={rep.face_count} g={rep.genus}"
-    if rep.component_count > 1:
-        line += f" components={rep.component_count}"
+    m, bd = _load(args.path, genera=genera)
+    line = (
+        f"V={m.vertex_count} E={m.edge_count} F={len(faces(m))} "
+        f"g={sum(m.component_genera)}"
+    )
+    if len(m.components) > 1:
+        line += f" components={len(m.components)}"
     if bd is not None:
         line += f" n={bd.n}"
     print(line)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CmapFormatError, GenusMismatch, MalformedPermutation, OddEuler
+from .errors import (
+    BadValence,
+    CmapFormatError,
+    GenusMismatch,
+    MalformedPermutation,
+    OddEuler,
+)
 
 
 def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -214,6 +220,63 @@ class CombinatorialMap:
     def is_connected(self) -> bool:
         return len(self.components) <= 1
 
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Faces as orbits of phi = sigma o alpha, ids ordered by least dart."""
+        phi = tuple(self.sigma[a - 1] for a in self.alpha)
+        return tuple(
+            Face(fid, cyc, tuple(self.vertex_of[d - 1] for d in cyc))
+            for fid, cyc in enumerate(cycles_of_images(phi), start=1)
+        )
+
+    @cached_property
+    def component_genera(self) -> tuple[int, ...]:
+        """Genus of each component by Euler's formula, ordered like ``components``."""
+        comp_of = [0] * (self.dart_count + 1)
+        for i, comp in enumerate(self.components):
+            for d in comp:
+                comp_of[d] = i
+        chi = [-(len(comp) // 2) for comp in self.components]
+        for cyc in self.vertex_cycles:
+            chi[comp_of[cyc[0]]] += 1
+        for face in self.faces:
+            chi[comp_of[face.boundary[0]]] += 1
+        for comp, c in zip(self.components, chi):
+            if c % 2:
+                raise OddEuler(f"component at dart {comp[0]} has odd Euler defect")
+        return tuple((2 - c) // 2 for c in chi)
+
+    @cached_property
+    def strands(self) -> tuple[Strand, ...]:
+        """Straight-ahead walks through 4-valent vertices (2-valent pass through).
+
+        The walks partition the darts; each strand is the projection of one
+        closed curve.  Ids are ordered by the least dart on the strand.
+        """
+        n = self.dart_count
+        seen = [False] * (n + 1)
+        out = []
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            walk: list[int] = []
+            d = start
+            while True:
+                arrive = self.alpha[d - 1]
+                walk.append(d)
+                walk.append(arrive)
+                seen[d] = True
+                seen[arrive] = True
+                d = _opposite(self, arrive)
+                if d == start:
+                    break
+            if len(set(walk)) != len(walk):
+                raise MalformedPermutation(
+                    f"strand from dart {start} repeats a dart; rotation system is twisted"
+                )
+            out.append(Strand(len(out) + 1, tuple(walk)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -262,106 +325,53 @@ class ValidationReport:
         return all(passed for _, passed, _ in self.checks)
 
 
-def _component_euler(m: CombinatorialMap, faces_list: tuple[Face, ...]):
-    """Per-component (V, E, F, genus) keyed by the component's least dart."""
-    out = []
-    for comp in m.components:
-        comp_set = set(comp)
-        v = len({m.vertex_of[d - 1] for d in comp})
-        e = len(comp) // 2
-        f = sum(1 for face in faces_list if face.boundary[0] in comp_set)
-        chi = v - e + f
-        if (2 - chi) % 2:
-            raise OddEuler(f"component at dart {comp[0]} has odd Euler defect")
-        out.append((comp[0], v, e, f, (2 - chi) // 2))
-    return out
-
-
 def validate(
     m: CombinatorialMap,
     component_genera: Sequence[int] | None = None,
     strict: bool = True,
 ) -> ValidationReport:
-    """Check the structural invariants of a map and its declared genus.
+    """Check a map's declared genus against Euler's formula.
 
     A connected map must satisfy V - E + F = 2 - 2g for the declared genus.
     A disconnected map is read as one sphere per component unless explicit
     per-component genera are supplied (ordered by each component's least
-    dart).  With ``strict`` the first failure raises; otherwise the report
-    carries the failures.
+    dart).  With ``strict`` a failure raises; otherwise the report carries
+    it.  The permutation invariants need no check here: the constructor
+    enforces them.
     """
-    checks: list[tuple[str, bool, str]] = []
-
-    def note(name: str, passed: bool, detail: str, exc_type=None):
-        checks.append((name, passed, detail))
-        if strict and not passed:
-            raise (exc_type or MalformedPermutation)(detail)
-
-    n = m.dart_count
-    sigma_bij = sorted(m.sigma) == list(range(1, n + 1))
-    note("sigma-bijective", sigma_bij, "sigma is not a bijection on the darts")
-    alpha_bij = sorted(m.alpha) == list(range(1, n + 1))
-    note("alpha-bijective", alpha_bij, "alpha is not a bijection on the darts")
-    if not (sigma_bij and alpha_bij):
-        return ValidationReport(n, 0, 0, 0, 0, 0, (), tuple(checks))
-    inv_ok = all(m.alpha[m.alpha[d - 1] - 1] == d for d in range(1, n + 1))
-    fpf_ok = all(m.alpha[d - 1] != d for d in range(1, n + 1))
-    note("alpha-involution", inv_ok, "alpha is not an involution")
-    note("alpha-fixed-point-free", fpf_ok, "alpha fixes a dart")
-    if not (inv_ok and fpf_ok):
-        return ValidationReport(n, 0, 0, 0, 0, 0, (), tuple(checks))
-
-    faces_list = faces(m, _checked=True)
-    v, e, f = m.vertex_count, m.edge_count, len(faces_list)
-    per_comp = _component_euler(m, faces_list)
-    genera = tuple(g for _, _, _, _, g in per_comp)
-    if len(per_comp) <= 1:
+    v, e, f = m.vertex_count, m.edge_count, len(m.faces)
+    genera = m.component_genera
+    if len(genera) <= 1:
         derived = genera[0] if genera else 0
-        note(
-            "euler-genus",
-            derived == m.declared_genus,
+        passed = derived == m.declared_genus
+        detail = (
             f"declared genus {m.declared_genus} but V-E+F = {v - e + f} "
-            f"gives genus {derived}",
-            GenusMismatch,
+            f"gives genus {derived}"
         )
-        total_genus = derived
     else:
-        expected = tuple(component_genera) if component_genera is not None else (0,) * len(per_comp)
-        if len(expected) != len(per_comp):
-            note(
-                "euler-genus",
-                False,
-                f"{len(per_comp)} components but {len(expected)} genera supplied",
-                GenusMismatch,
-            )
+        expected = tuple(component_genera) if component_genera is not None else (0,) * len(genera)
+        if len(expected) != len(genera):
+            passed = False
+            detail = f"{len(genera)} components but {len(expected)} genera supplied"
         else:
-            note(
-                "euler-genus",
-                genera == expected,
-                f"per-component genera {genera} do not match expected {expected}",
-                GenusMismatch,
-            )
-        total_genus = sum(genera)
+            passed = genera == expected
+            detail = f"per-component genera {genera} do not match expected {expected}"
+    if strict and not passed:
+        raise GenusMismatch(detail)
     return ValidationReport(
-        n, v, e, f, total_genus, len(per_comp), genera, tuple(checks)
+        m.dart_count, v, e, f, sum(genera), len(genera), genera,
+        (("euler-genus", passed, detail),),
     )
 
 
-def faces(m: CombinatorialMap, _checked: bool = False) -> tuple[Face, ...]:
-    """Faces as orbits of phi = sigma o alpha, ids ordered by least dart."""
-    if not _checked:
-        validate(m)
-    phi = tuple(m.sigma[a - 1] for a in m.alpha)
-    out = []
-    for fid, cyc in enumerate(cycles_of_images(phi), start=1):
-        out.append(Face(fid, cyc, tuple(m.vertex_of[d - 1] for d in cyc)))
-    return tuple(out)
+def faces(m: CombinatorialMap) -> tuple[Face, ...]:
+    """The map's faces (computed once per map and cached; not re-validated)."""
+    return m.faces
 
 
 def derived_genus(m: CombinatorialMap) -> int:
     """Genus from Euler's formula; the map must be connected."""
-    f = len(faces(m, _checked=True))
-    chi = m.vertex_count - m.edge_count + f
+    chi = m.vertex_count - m.edge_count + len(m.faces)
     if (2 - chi) % 2:
         raise OddEuler("odd Euler defect")
     return (2 - chi) // 2
@@ -374,43 +384,14 @@ def _opposite(m: CombinatorialMap, d: int) -> int:
         return m.sigma[d - 1]
     if val == 4:
         return m.sigma[m.sigma[d - 1] - 1]
-    from .errors import BadValence
-
     raise BadValence(
         f"vertex {m.vertex_of[d - 1]} has valence {val}; strands need 2 or 4"
     )
 
 
 def strands(m: CombinatorialMap) -> tuple[Strand, ...]:
-    """Straight-ahead walks through 4-valent vertices (2-valent pass through).
-
-    The walks partition the darts; each strand is the projection of one
-    closed curve.  Ids are ordered by the least dart on the strand.
-    """
-    validate(m)
-    n = m.dart_count
-    seen = [False] * (n + 1)
-    out = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        walk: list[int] = []
-        d = start
-        while True:
-            arrive = m.alpha[d - 1]
-            walk.append(d)
-            walk.append(arrive)
-            seen[d] = True
-            seen[arrive] = True
-            d = _opposite(m, arrive)
-            if d == start:
-                break
-        if len(set(walk)) != len(walk):
-            raise MalformedPermutation(
-                f"strand from dart {start} repeats a dart; rotation system is twisted"
-            )
-        out.append(Strand(len(out) + 1, tuple(walk)))
-    return tuple(out)
+    """The map's strands (computed once per map and cached; not re-validated)."""
+    return m.strands
 
 
 # ---------------------------------------------------------------------------

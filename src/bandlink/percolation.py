@@ -204,25 +204,31 @@ def parse_trace(text: str) -> PercolationTrace:
     """Read either trace flavour (text or JSON)."""
     body = text.strip()
     if body.startswith("{"):
-        doc = json.loads(body)
-        return PercolationTrace(
-            tuple(int(v) for v in doc.get("manual", [])),
-            tuple(
-                TraceEntry(int(s["step"]), int(s["vertex"]), int(s["face"]))
-                for s in doc.get("steps", [])
-            ),
-        )
+        try:
+            doc = json.loads(body)
+            return PercolationTrace(
+                tuple(int(v) for v in doc.get("manual", [])),
+                tuple(
+                    TraceEntry(int(s["step"]), int(s["vertex"]), int(s["face"]))
+                    for s in doc.get("steps", [])
+                ),
+            )
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CmapFormatError(f"bad trace JSON: {exc}") from exc
     manual: tuple[int, ...] = ()
     entries = []
     for lineno, raw in enumerate(body.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("manual:"):
-            manual = tuple(int(tok) for tok in line.split(":", 1)[1].split())
-            continue
-        parts = line.split()
-        if len(parts) != 6 or parts[0] != "step" or parts[2] != "vertex" or parts[4] != "face":
-            raise CmapFormatError(f"line {lineno}: bad trace line {line!r}")
-        entries.append(TraceEntry(int(parts[1]), int(parts[3]), int(parts[5])))
+        try:
+            if line.startswith("manual:"):
+                manual = tuple(int(tok) for tok in line.split(":", 1)[1].split())
+                continue
+            parts = line.split()
+            if len(parts) != 6 or parts[0] != "step" or parts[2] != "vertex" or parts[4] != "face":
+                raise ValueError
+            entries.append(TraceEntry(int(parts[1]), int(parts[3]), int(parts[5])))
+        except ValueError:
+            raise CmapFormatError(f"line {lineno}: bad trace line {line!r}") from None
     return PercolationTrace(manual, tuple(entries))

@@ -13,8 +13,8 @@ import math
 from typing import Sequence
 
 from .band import BandDiagram, KIND_CLASP, KIND_TWIST
-from .cmap import CombinatorialMap, Face, faces, validate
-from .errors import GenusMismatch, MalformedPermutation, NonPlanar
+from .cmap import CombinatorialMap, Face
+from .errors import GenusMismatch, NonPlanar
 from .percolation import Coloring
 
 RADIUS = 120.0
@@ -25,11 +25,7 @@ _KIND_STROKE = {KIND_CLASP: "#c0392b", KIND_TWIST: "#8e44ad"}
 
 
 def _require_planar(m: CombinatorialMap) -> None:
-    rep = validate(m, strict=False)
-    for name, passed, detail in rep.checks:
-        if name != "euler-genus" and not passed:
-            raise MalformedPermutation(detail)
-    for comp, g in zip(m.components, rep.component_genera):
+    for comp, g in zip(m.components, m.component_genera):
         if g != 0:
             raise NonPlanar(
                 f"component at dart {comp[0]} has genus {g}; only genus 0 renders"
@@ -101,7 +97,7 @@ def render_svg(
             '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="80" '
             'viewBox="0 0 80 80"></svg>\n'
         )
-    faces_list = faces(m, _checked=True)
+    faces_list = m.faces
     pos: dict[int, tuple[float, float]] = {}
     for idx, comp in enumerate(m.components):
         shift = idx * (2 * RADIUS + MARGIN)

@@ -211,9 +211,13 @@ class TestFuzzedInvariants:
     def test_strand_circles_partition(self):
         rng = random.Random(33)
         for _ in range(20):
-            bd = build_band(random_spec(rng))
-            assert len(strands(bd.diagram)) == bd.n
-            assert sorted(bd.circle_of_strand) == list(range(1, bd.n + 1))
+            spec = random_spec(rng)
+            bd = build_band(spec)
+            m = subdivide(spec.base, spec.subdivisions)
+            two_valent = sum(1 for v in range(1, m.vertex_count + 1) if m.valence(v) == 2)
+            assert bd.n == two_valent
+            darts = sorted(d for s in strands(bd.diagram) for d in s.darts)
+            assert darts == list(range(1, bd.diagram.dart_count + 1))
 
 
 class TestSpecFiles:
@@ -243,6 +247,10 @@ class TestSpecFiles:
                 {"map": "base.cmap", "edges": [{"edge": "x"}]},
                 "bad edge entry",
             ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": float("inf")}]},
+                "bad edge entry",
+            ),
         ],
     )
     def test_bad_documents(self, tmp_path, triangle, doc, fragment):
@@ -259,11 +267,65 @@ class TestSpecFiles:
             load_band_spec(tmp_path / "spec.json")
 
 
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    return edit
+
+
+# (id, edit of a chain3 sidecar document, fragment of the expected error)
+BAD_SIDECARS = [
+    ("not-an-object", lambda doc: [doc], "not a JSON object"),
+    ("vertex-zero", _set(("crossing_kind", 0, "vertex"), 0), "vertex 0 outside 1..6"),
+    ("vertex-negative", _set(("crossing_kind", 0, "vertex"), -1), "vertex -1 outside"),
+    ("vertex-beyond", _set(("crossing_kind", 0, "vertex"), 7), "vertex 7 outside"),
+    ("vertex-repeated", _set(("crossing_kind", 1, "vertex"), 1), "vertex 1 listed twice"),
+    ("face-zero", _set(("face_provenance", 0, "face"), 0), "face 0 outside 1..8"),
+    ("face-negative", _set(("face_provenance", 0, "face"), -1), "face -1 outside"),
+    ("face-beyond", _set(("face_provenance", 0, "face"), 9), "face 9 outside"),
+    ("face-repeated", _set(("face_provenance", 1, "face"), 1), "face 1 listed twice"),
+    ("kind-bogus", _set(("crossing_kind", 0, "kind"), "bogus"), "unknown kind 'bogus'"),
+    ("face-kind-bogus", _set(("face_provenance", 0, "kind"), "bogus"), "unknown kind 'bogus'"),
+    ("owner-infinite", _set(("crossing_kind", 0, "owner"), float("inf")), "incomplete"),
+    ("n-mismatch", _set(("n",), 4), "provenance n 4"),
+    ("degenerate-mismatch", _set(("degenerate",), True), "provenance degenerate True"),
+    ("circles-mismatch", _set(("circle_of_strand",), [3, 3, 3]), "circle_of_strand [3, 3, 3]"),
+    (
+        "circles-missing",
+        lambda doc: {k: v for k, v in doc.items() if k != "circle_of_strand"},
+        "incomplete provenance document: 'circle_of_strand'",
+    ),
+]
+
+
 class TestProvenanceSidecar:
-    def test_round_trip(self, chain3_band):
-        text = provenance_to_json(chain3_band)
-        again = band_diagram_from_provenance(chain3_band.diagram, text)
-        assert again == chain3_band
+    def test_round_trip(self, chain3_band, loop1, torus_band):
+        rng = random.Random(34)
+        bands = [chain3_band, build_band(BandSpec(loop1, (0,), ((0,),))), torus_band]
+        bands += [build_band(random_spec(rng)) for _ in range(20)]
+        bands += [build_band(random_spec(rng, want_genus=1)) for _ in range(10)]
+        for bd in bands:
+            text = provenance_to_json(bd)
+            again = band_diagram_from_provenance(bd.diagram, text)
+            assert again == bd
+            assert (again.n, again.degenerate) == (bd.n, bd.degenerate)
+
+    @pytest.mark.parametrize(
+        "edit,fragment",
+        [pytest.param(edit, fragment, id=label) for label, edit, fragment in BAD_SIDECARS],
+    )
+    def test_bad_sidecars_rejected(self, chain3_band, edit, fragment):
+        doc = edit(json.loads(provenance_to_json(chain3_band)))
+        with pytest.raises(ProvenanceError) as err:
+            band_diagram_from_provenance(chain3_band.diagram, json.dumps(doc))
+        assert fragment in str(err.value)
 
     def test_format_line_is_checked(self, chain3_band):
         doc = json.loads(provenance_to_json(chain3_band))

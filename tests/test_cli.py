@@ -46,6 +46,18 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "faces", "strands", "percolate", "hull", "report", "render"],
+    )
+    def test_wrong_genus_rejected_at_load(self, tmp_path, command, capsys):
+        bad = tmp_path / "bad.cmap"
+        bad.write_text(open(TRIANGLE).read().replace("genus 0", "genus 1"))
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: declared genus 1")
+
 
 class TestFacesAndStrands:
     def test_faces(self, capsys):
@@ -219,6 +231,48 @@ class TestRender:
     def test_torus_rejected(self, capsys):
         assert main(["render", TORUS]) == 2
         assert "genus" in capsys.readouterr().err
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "name,body",
+        [
+            pytest.param(name, body, id=name)
+            for name, body in [
+                ("manual-string.json", '{"manual": "x"}'),
+                ("truncated.json", '{"manual": [1, 3], "steps": ['),
+                ("manual-infinite.json", '{"manual": [Infinity]}'),
+                ("no-vertex.json", '{"manual": [1], "steps": [{"step": 1, "face": 1}]}'),
+                ("manual-word.txt", "manual: x\n"),
+                ("step-word.txt", "manual: 1\nstep a vertex 2 face 1\n"),
+                ("step-keyword.txt", "manual: 1\nstep 1 vert 2 face 1\n"),
+            ]
+        ],
+    )
+    def test_bad_trace(self, tmp_path, name, body, capsys):
+        trace = tmp_path / name
+        trace.write_text(body)
+        assert main(["render", TRIANGLE, "--trace", str(trace)]) == 2
+        self.assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"map": 5}, {"map": "base.cmap", "edges": 3}],
+        ids=["map-number", "edges-number"],
+    )
+    def test_bad_spec(self, tmp_path, doc, capsys):
+        (tmp_path / "base.cmap").write_text(open(TRIANGLE).read())
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["build-band", str(spec)]) == 2
+        self.assert_one_error_line(capsys.readouterr())
+
+    @staticmethod
+    def assert_one_error_line(captured):
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestUsage:

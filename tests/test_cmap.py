@@ -83,6 +83,10 @@ class TestTriangle:
         assert len(ss) == 1
         assert ss[0].darts == (1, 5, 3, 6, 2, 4)
 
+    def test_faces_and_strands_are_cached(self, triangle):
+        assert faces(triangle) is faces(triangle)
+        assert strands(triangle) is strands(triangle)
+
 
 class TestCurl:
     def test_counts(self, curl):
