@@ -1,35 +1,27 @@
-"""Combinatorial maps, band diagrams, and percolation hulls."""
+"""Combinatorial maps, band diagrams, and percolation hulls.
+
+The names below are the library the README, the command line front end and
+the benchmark use.  Result and data types (``Face``, ``BandDiagram``,
+``Coloring``, ``HullResult``, ``BoundsReport`` and the rest) live in their
+modules and are not re-exported.
+"""
 
 from .band import (
-    BandDiagram,
     BandSpec,
-    CensusEntry,
-    CensusReport,
-    Crossing,
     band_diagram_from_provenance,
     build_band,
     census,
-    check_spec,
     load_band_spec,
     provenance_to_json,
-    subdivide,
 )
-from .bounds import BoundsReport, format_report, report, report_to_json
+from .bounds import format_report, report
 from .cmap import (
     CombinatorialMap,
-    Face,
-    Strand,
-    ValidationReport,
-    cycles_of_images,
     derived_genus,
     faces,
     format_cmap,
-    format_cycles,
-    images_from_cycles,
     load_cmap,
     parse_cmap,
-    parse_cycles,
-    save_cmap,
     strands,
     validate,
 )
@@ -43,84 +35,51 @@ from .errors import (
     GenusMismatch,
     MalformedPermutation,
     NonPlanar,
-    OddEuler,
     ProvenanceError,
     UnknownVertex,
     UnverifiedWitness,
     ZeroSubdivision,
 )
-from .hull import HullResult, hull_constructive_band, hull_exact, verify_witness
-from .percolation import (
-    Coloring,
-    PercolationTrace,
-    TraceEntry,
-    close,
-    coloring_from_trace,
-    format_trace,
-    parse_trace,
-    trace_to_json,
-)
+from .hull import hull_constructive_band, hull_exact, verify_witness
+from .percolation import close, parse_trace, trace_to_json
 from .render import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadValence",
-    "BandDiagram",
     "BandSpec",
     "BandlinkError",
     "BandSpecError",
-    "BoundsReport",
     "BudgetExceeded",
-    "CensusEntry",
-    "CensusReport",
     "CmapFormatError",
-    "Coloring",
     "CombinatorialMap",
     "ConstructionStuck",
-    "Crossing",
-    "Face",
     "GenusMismatch",
-    "HullResult",
     "MalformedPermutation",
     "NonPlanar",
-    "OddEuler",
-    "PercolationTrace",
     "ProvenanceError",
-    "Strand",
-    "TraceEntry",
     "UnknownVertex",
     "UnverifiedWitness",
-    "ValidationReport",
     "ZeroSubdivision",
     "band_diagram_from_provenance",
     "build_band",
     "census",
-    "check_spec",
     "close",
-    "coloring_from_trace",
-    "cycles_of_images",
     "derived_genus",
     "faces",
     "format_cmap",
-    "format_cycles",
     "format_report",
-    "format_trace",
     "hull_constructive_band",
     "hull_exact",
-    "images_from_cycles",
     "load_band_spec",
     "load_cmap",
     "parse_cmap",
-    "parse_cycles",
     "parse_trace",
     "provenance_to_json",
     "render_svg",
     "report",
-    "report_to_json",
-    "save_cmap",
     "strands",
-    "subdivide",
     "trace_to_json",
     "validate",
     "verify_witness",

@@ -29,6 +29,7 @@ from .errors import (
     GenusMismatch,
     ProvenanceError,
     ZeroSubdivision,
+    json_typed,
 )
 
 KIND_CLASP = "clasp"
@@ -58,8 +59,7 @@ class BandSpec:
     ``subdivisions[e]`` counts the 2-valent vertices inserted into canonical
     edge e+1 of the base; ``twists[e]`` gives one twist count per resulting
     segment (so it has subdivisions[e] + 1 entries).  Construction checks
-    the spec and its base once (:func:`check_spec`), so every BandSpec is
-    buildable.
+    the spec and its base once, so every BandSpec is buildable.
     """
 
     base: CombinatorialMap
@@ -69,7 +69,34 @@ class BandSpec:
     def __post_init__(self):
         object.__setattr__(self, "subdivisions", tuple(self.subdivisions))
         object.__setattr__(self, "twists", tuple(tuple(t) for t in self.twists))
-        check_spec(self)
+        base = self.base
+        validate(base)
+        _check_valences(base)
+        e_count = base.edge_count
+        if len(self.subdivisions) != e_count:
+            raise BandSpecError(
+                f"{len(self.subdivisions)} subdivision counts for {e_count} edges"
+            )
+        if len(self.twists) != e_count:
+            raise BandSpecError(f"{len(self.twists)} twist lists for {e_count} edges")
+        for eid, (d, dp) in enumerate(base.edge_pairs, start=1):
+            k = self.subdivisions[eid - 1]
+            if k < 0:
+                raise BandSpecError(f"edge {eid}: negative subdivision count {k}")
+            ends = (base.vertex_of[d - 1], base.vertex_of[dp - 1])
+            if k == 0 and all(base.valence(v) == 4 for v in ends):
+                raise ZeroSubdivision(
+                    f"edge {eid} joins two 4-valent vertices and needs at least "
+                    "one subdivision point"
+                )
+            ts = self.twists[eid - 1]
+            if len(ts) != k + 1:
+                raise BandSpecError(
+                    f"edge {eid}: {len(ts)} twist counts for {k + 1} segments"
+                )
+            for t in ts:
+                if t < 0:
+                    raise BandSpecError(f"edge {eid}: negative twist count {t}")
 
 
 @dataclass(frozen=True)
@@ -125,41 +152,6 @@ def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:
     return two, four
 
 
-def check_spec(spec: BandSpec) -> None:
-    """Validate a band spec against its base; BandSpec runs this on construction."""
-    base = spec.base
-    validate(base)
-    _check_valences(base)
-    e_count = base.edge_count
-    if len(spec.subdivisions) != e_count:
-        raise BandSpecError(
-            f"{len(spec.subdivisions)} subdivision counts for {e_count} edges"
-        )
-    if len(spec.twists) != e_count:
-        raise BandSpecError(f"{len(spec.twists)} twist lists for {e_count} edges")
-    for eid, (d, dp) in enumerate(base.edge_pairs, start=1):
-        k = spec.subdivisions[eid - 1]
-        if k < 0:
-            raise BandSpecError(f"edge {eid}: negative subdivision count {k}")
-        ends_4valent = (
-            len(base.vertex_cycles[base.vertex_of[d - 1] - 1]) == 4
-            and len(base.vertex_cycles[base.vertex_of[dp - 1] - 1]) == 4
-        )
-        if ends_4valent and k == 0:
-            raise ZeroSubdivision(
-                f"edge {eid} joins two 4-valent vertices and needs at least "
-                "one subdivision point"
-            )
-        ts = spec.twists[eid - 1]
-        if len(ts) != k + 1:
-            raise BandSpecError(
-                f"edge {eid}: {len(ts)} twist counts for {k + 1} segments"
-            )
-        for t in ts:
-            if t < 0:
-                raise BandSpecError(f"edge {eid}: negative twist count {t}")
-
-
 def _subdivide(
     m: CombinatorialMap, subdivisions: Sequence[int]
 ) -> tuple[CombinatorialMap, tuple[tuple[tuple[int, int], ...], ...]]:
@@ -189,16 +181,6 @@ def _subdivide(
         CombinatorialMap(total, alpha[1:], sigma[1:], m.declared_genus),
         tuple(segments),
     )
-
-
-def subdivide(m: CombinatorialMap, subdivisions: Sequence[int]) -> CombinatorialMap:
-    """Public subdivision: every edge between 4-valent vertices needs k >= 1."""
-    spec = BandSpec(
-        m,
-        tuple(subdivisions),
-        tuple((0,) * (k + 1) for k in subdivisions),
-    )
-    return _subdivide(m, spec.subdivisions)[0]
 
 
 # Gadget dart offsets within a crossing's rotation (darts 4c+1 .. 4c+4).
@@ -464,10 +446,11 @@ def load_band_spec(path) -> BandSpec:
     seen = set()
     for entry in edges:
         try:
-            eid = int(entry["edge"])
-            k = int(entry.get("subdivisions", 0))
-            ts = tuple(int(t) for t in entry.get("twists", (0,) * (k + 1)))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            eid = json_typed(entry["edge"], int, "edge")
+            k = json_typed(entry.get("subdivisions", 0), int, "subdivisions")
+            twists_in = json_typed(entry.get("twists", [0] * (k + 1)), list, "twists")
+            ts = tuple(json_typed(t, int, "twist") for t in twists_in)
+        except (KeyError, TypeError) as exc:
             raise BandSpecError(f"bad edge entry {entry!r}") from exc
         if not 1 <= eid <= e_count:
             raise BandSpecError(f"edge id {eid} outside 1..{e_count}")
@@ -501,7 +484,7 @@ def provenance_to_json(bd: BandDiagram) -> str:
 
 def _slot(entry: dict, key: str, slots: list) -> int:
     """The 1-based id ``entry[key]``, checked to name a free slot of ``slots``."""
-    i = int(entry[key])
+    i = json_typed(entry[key], int, key)
     if not 1 <= i <= len(slots):
         raise ProvenanceError(f"{key} {i} outside 1..{len(slots)}")
     if slots[i - 1] is not None:
@@ -526,15 +509,17 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         raise ProvenanceError(f"unknown provenance format {doc.get('format')!r}")
     try:
         kinds: list[Crossing | None] = [None] * m.vertex_count
-        for entry in doc["crossing_kind"]:
+        for entry in json_typed(doc["crossing_kind"], list, "crossing_kind"):
             vid = _slot(entry, "vertex", kinds)
             if entry["kind"] not in KINDS:
                 raise ProvenanceError(f"vertex {vid}: unknown kind {entry['kind']!r}")
             kinds[vid - 1] = Crossing(
-                entry["kind"], int(entry["owner"]), int(entry["slot"])
+                entry["kind"],
+                json_typed(entry["owner"], int, "owner"),
+                json_typed(entry["slot"], int, "slot"),
             )
         listed: list[dict | None] = [None] * len(m.faces)
-        for entry in doc["face_provenance"]:
+        for entry in json_typed(doc["face_provenance"], list, "face_provenance"):
             fid = _slot(entry, "face", listed)
             if entry["kind"] not in ("base", "internal"):
                 raise ProvenanceError(f"face {fid}: unknown kind {entry['kind']!r}")
@@ -542,11 +527,13 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         if any(entry is None for entry in listed):
             raise ProvenanceError("face list does not match the map's faces")
         provenance = tuple(
-            int(entry["base_face"]) if entry["kind"] == "base" else None
+            json_typed(entry["base_face"], int, "base_face")
+            if entry["kind"] == "base"
+            else None
             for entry in listed
         )
         recorded = {key: doc[key] for key in ("n", "degenerate", "circle_of_strand")}
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ProvenanceError(f"incomplete provenance document: {exc}") from exc
     if any(k is None for k in kinds):
         raise ProvenanceError("provenance does not cover every vertex")

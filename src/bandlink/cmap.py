@@ -11,17 +11,15 @@ counts to the genus of the supporting surface.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     BadValence,
     CmapFormatError,
     GenusMismatch,
     MalformedPermutation,
-    OddEuler,
 )
 
 
@@ -48,44 +46,6 @@ def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
             d = images[d - 1]
         cycles.append(tuple(cyc))
     return cycles
-
-
-def images_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> tuple[int, ...]:
-    """Build a 1-based image array from cycles; unmentioned darts are fixed."""
-    images = list(range(1, n + 1))
-    used = set()
-    for cyc in cycles:
-        for i, d in enumerate(cyc):
-            if not 1 <= d <= n:
-                raise MalformedPermutation(f"dart {d} outside 1..{n}")
-            if d in used:
-                raise MalformedPermutation(f"dart {d} appears in two cycles")
-            used.add(d)
-            images[d - 1] = cyc[(i + 1) % len(cyc)]
-    return tuple(images)
-
-
-def parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """Parse cycle notation like ``"(1 2)(3 4)"`` into an image array."""
-    body = text.strip()
-    if body in ("", "()"):
-        return tuple(range(1, n + 1))
-    if not re.fullmatch(r"(\(\s*\d+(\s+\d+)*\s*\))+", body):
-        raise MalformedPermutation(f"bad cycle notation: {text!r}")
-    cycles = [
-        tuple(int(tok) for tok in grp.split())
-        for grp in re.findall(r"\(([^()]*)\)", body)
-    ]
-    return images_from_cycles(cycles, n)
-
-
-def format_cycles(images: Sequence[int], keep_fixed: bool = False) -> str:
-    parts = []
-    for cyc in cycles_of_images(images):
-        if len(cyc) == 1 and not keep_fixed:
-            continue
-        parts.append("(" + " ".join(str(d) for d in cyc) + ")")
-    return "".join(parts) if parts else "()"
 
 
 @dataclass(frozen=True)
@@ -129,31 +89,6 @@ class CombinatorialMap:
         if self.declared_genus < 0:
             raise GenusMismatch(f"declared genus {self.declared_genus} is negative")
 
-    @classmethod
-    def from_cycles(
-        cls,
-        dart_count: int,
-        sigma: str,
-        alpha: str,
-        genus: int = 0,
-    ) -> "CombinatorialMap":
-        """Convenience constructor from cycle-notation strings."""
-        return cls(
-            dart_count,
-            parse_cycles(alpha, dart_count),
-            parse_cycles(sigma, dart_count),
-            genus,
-        )
-
-    def alpha_of(self, d: int) -> int:
-        return self.alpha[d - 1]
-
-    def sigma_of(self, d: int) -> int:
-        return self.sigma[d - 1]
-
-    def phi_of(self, d: int) -> int:
-        return self.sigma[self.alpha[d - 1] - 1]
-
     @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Sigma orbits, canonically ordered; vertex ids are 1-based indexes."""
@@ -171,18 +106,7 @@ class CombinatorialMap:
     @cached_property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Alpha orbits as (low dart, high dart), sorted by low dart."""
-        return tuple(
-            (cyc[0], cyc[1] if len(cyc) > 1 else cyc[0])
-            for cyc in cycles_of_images(self.alpha)
-        )
-
-    @cached_property
-    def edge_of(self) -> tuple[int, ...]:
-        out = [0] * self.dart_count
-        for eid, (a, b) in enumerate(self.edge_pairs, start=1):
-            out[a - 1] = eid
-            out[b - 1] = eid
-        return tuple(out)
+        return tuple(cycles_of_images(self.alpha))
 
     @property
     def vertex_count(self) -> int:
@@ -231,7 +155,11 @@ class CombinatorialMap:
 
     @cached_property
     def component_genera(self) -> tuple[int, ...]:
-        """Genus of each component by Euler's formula, ordered like ``components``."""
+        """Genus of each component by Euler's formula, ordered like ``components``.
+
+        V - E + F is even on every component: the signs of phi = sigma o alpha
+        give V + E - F = 2E = 0 (mod 2), so the halving is exact.
+        """
         comp_of = [0] * (self.dart_count + 1)
         for i, comp in enumerate(self.components):
             for d in comp:
@@ -241,9 +169,6 @@ class CombinatorialMap:
             chi[comp_of[cyc[0]]] += 1
         for face in self.faces:
             chi[comp_of[face.boundary[0]]] += 1
-        for comp, c in zip(self.components, chi):
-            if c % 2:
-                raise OddEuler(f"component at dart {comp[0]} has odd Euler defect")
         return tuple((2 - c) // 2 for c in chi)
 
     @cached_property
@@ -290,9 +215,6 @@ class Face:
     def distinct_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.vertex_list)))
 
-    def __len__(self) -> int:
-        return len(self.boundary)
-
 
 @dataclass(frozen=True)
 class Strand:
@@ -305,63 +227,33 @@ class Strand:
     id: int
     darts: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    dart_count: int
-    vertex_count: int
-    edge_count: int
-    face_count: int
-    genus: int
-    component_count: int
-    component_genera: tuple[int, ...]
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
 
 def validate(
-    m: CombinatorialMap,
-    component_genera: Sequence[int] | None = None,
-    strict: bool = True,
-) -> ValidationReport:
+    m: CombinatorialMap, component_genera: Sequence[int] | None = None
+) -> None:
     """Check a map's declared genus against Euler's formula.
 
     A connected map must satisfy V - E + F = 2 - 2g for the declared genus.
     A disconnected map is read as one sphere per component unless explicit
     per-component genera are supplied (ordered by each component's least
-    dart).  With ``strict`` a failure raises; otherwise the report carries
-    it.  The permutation invariants need no check here: the constructor
-    enforces them.
+    dart).  A failure raises :class:`GenusMismatch`.  The permutation
+    invariants need no check here: the constructor enforces them.
     """
-    v, e, f = m.vertex_count, m.edge_count, len(m.faces)
     genera = m.component_genera
     if len(genera) <= 1:
         derived = genera[0] if genera else 0
-        passed = derived == m.declared_genus
-        detail = (
-            f"declared genus {m.declared_genus} but V-E+F = {v - e + f} "
-            f"gives genus {derived}"
-        )
-    else:
-        expected = tuple(component_genera) if component_genera is not None else (0,) * len(genera)
-        if len(expected) != len(genera):
-            passed = False
-            detail = f"{len(genera)} components but {len(expected)} genera supplied"
-        else:
-            passed = genera == expected
-            detail = f"per-component genera {genera} do not match expected {expected}"
-    if strict and not passed:
-        raise GenusMismatch(detail)
-    return ValidationReport(
-        m.dart_count, v, e, f, sum(genera), len(genera), genera,
-        (("euler-genus", passed, detail),),
-    )
+        if derived != m.declared_genus:
+            chi = m.vertex_count - m.edge_count + len(m.faces)
+            raise GenusMismatch(
+                f"declared genus {m.declared_genus} but V-E+F = {chi} "
+                f"gives genus {derived}"
+            )
+        return
+    expected = tuple(component_genera) if component_genera is not None else (0,) * len(genera)
+    if len(expected) != len(genera):
+        raise GenusMismatch(f"{len(genera)} components but {len(expected)} genera supplied")
+    if genera != expected:
+        raise GenusMismatch(f"per-component genera {genera} do not match expected {expected}")
 
 
 def faces(m: CombinatorialMap) -> tuple[Face, ...]:
@@ -372,8 +264,6 @@ def faces(m: CombinatorialMap) -> tuple[Face, ...]:
 def derived_genus(m: CombinatorialMap) -> int:
     """Genus from Euler's formula; the map must be connected."""
     chi = m.vertex_count - m.edge_count + len(m.faces)
-    if (2 - chi) % 2:
-        raise OddEuler("odd Euler defect")
     return (2 - chi) // 2
 
 
@@ -491,7 +381,3 @@ def load_cmap(path) -> CombinatorialMap:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_cmap(fh.read())
 
-
-def save_cmap(m: CombinatorialMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_cmap(m))

@@ -2,6 +2,7 @@
 
 Every error carries an ``exit_code`` so the command line front end can map
 failures onto its documented exit statuses without a big lookup table.
+:func:`json_typed` is the one type check the JSON readers share.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ class MalformedPermutation(BandlinkError):
 
 class GenusMismatch(BandlinkError):
     """Declared genus disagrees with the genus derived from Euler's formula."""
-
-
-class OddEuler(BandlinkError):
-    """V - E + F came out odd; impossible for an orientable map, so this
-    signals an internal bug rather than bad input."""
 
 
 class BadValence(BandlinkError):
@@ -84,3 +80,16 @@ class ConstructionStuck(BandlinkError):
     def __init__(self, message: str, log: tuple[str, ...] = ()):
         super().__init__(message)
         self.log = log
+
+
+def json_typed(value, kind: type, field: str):
+    """``value`` if its JSON type is exactly ``kind`` (``int`` or ``list``).
+
+    The JSON readers share this check.  A bool, float or string where an
+    integer belongs, or anything but a list where a list belongs, raises
+    TypeError, which each reader reports as its own error.
+    """
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a list"
+        raise TypeError(f"{field} must be {noun}, got {value!r}")
+    return value

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import CmapFormatError, UnknownVertex
+from .errors import CmapFormatError, UnknownVertex, json_typed
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,12 @@ class Coloring:
     """Result of a percolation run.
 
     ``auto`` maps each automatically colored vertex to the step it was
-    colored at (manual vertices are step 0).  ``face_steps`` maps each fully
-    colored face to the step its last vertex received.  Values are frozen
-    after construction and safe to share.
+    colored at (manual vertices are step 0).  Values are frozen after
+    construction and safe to share.
     """
 
     manual: frozenset[int]
     auto: Mapping[int, int]
-    face_steps: Mapping[int, int]
     vertex_count: int
 
     @property
@@ -160,13 +158,7 @@ def close(
             auto[v] = step
             entries.append(TraceEntry(step, v, newly[v]))
             engine.color(v)
-    face_steps: dict[int, int] = {}
-    for face, left in zip(faces_list, engine.count):
-        if left == 0:
-            face_steps[face.id] = max(
-                (auto.get(v, 0) for v in face.distinct_vertices), default=0
-            )
-    coloring = Coloring(manual_set, auto, face_steps, m.vertex_count)
+    coloring = Coloring(manual_set, auto, m.vertex_count)
     return coloring, PercolationTrace(tuple(sorted(manual_set)), tuple(entries))
 
 
@@ -193,11 +185,11 @@ def trace_to_json(trace: PercolationTrace) -> str:
 
 
 def coloring_from_trace(trace: PercolationTrace, vertex_count: int) -> Coloring:
-    """Rebuild the coloring a trace describes (face_steps stays empty)."""
+    """Rebuild the coloring a trace describes."""
     manual = check_vertices(trace.manual, vertex_count)
     check_vertices((e.vertex for e in trace.entries), vertex_count)
     auto = {e.vertex: e.step for e in trace.entries}
-    return Coloring(manual, auto, {}, vertex_count)
+    return Coloring(manual, auto, vertex_count)
 
 
 def parse_trace(text: str) -> PercolationTrace:
@@ -206,14 +198,16 @@ def parse_trace(text: str) -> PercolationTrace:
     if body.startswith("{"):
         try:
             doc = json.loads(body)
+            manual = json_typed(doc.get("manual", []), list, "manual")
+            steps = json_typed(doc.get("steps", []), list, "steps")
             return PercolationTrace(
-                tuple(int(v) for v in doc.get("manual", [])),
+                tuple(json_typed(v, int, "manual vertex") for v in manual),
                 tuple(
-                    TraceEntry(int(s["step"]), int(s["vertex"]), int(s["face"]))
-                    for s in doc.get("steps", [])
+                    TraceEntry(*(json_typed(s[k], int, k) for k in ("step", "vertex", "face")))
+                    for s in steps
                 ),
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CmapFormatError(f"bad trace JSON: {exc}") from exc
     manual: tuple[int, ...] = ()
     entries = []

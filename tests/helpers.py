@@ -17,7 +17,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def circle_map(n: int) -> CombinatorialMap:
     """Circle with n 2-valent vertices; vertex i joins edges i-1 and i."""
     if n == 1:
-        return CombinatorialMap.from_cycles(2, sigma="(1 2)", alpha="(1 2)")
+        return CombinatorialMap(2, (2, 1), (2, 1), 0)
     darts = 2 * n
     alpha = [0] * darts
     sigma = [0] * darts
@@ -116,8 +116,8 @@ def relabel(rng, m: CombinatorialMap) -> CombinatorialMap:
     alpha = [0] * m.dart_count
     sigma = [0] * m.dart_count
     for d in range(1, m.dart_count + 1):
-        alpha[perm[d - 1] - 1] = perm[m.alpha_of(d) - 1]
-        sigma[perm[d - 1] - 1] = perm[m.sigma_of(d) - 1]
+        alpha[perm[d - 1] - 1] = perm[m.alpha[d - 1] - 1]
+        sigma[perm[d - 1] - 1] = perm[m.sigma[d - 1] - 1]
     return CombinatorialMap(
         m.dart_count, tuple(alpha), tuple(sigma), m.declared_genus
     )

@@ -9,17 +9,16 @@ from bandlink import (
     band_diagram_from_provenance,
     build_band,
     census,
-    check_spec,
     derived_genus,
     faces,
-    format_cycles,
+    format_cmap,
     load_band_spec,
     provenance_to_json,
-    save_cmap,
     strands,
-    subdivide,
     validate,
 )
+from bandlink.band import _subdivide
+from bandlink.cmap import cycles_of_images
 from bandlink.errors import (
     BadValence,
     BandSpecError,
@@ -30,49 +29,49 @@ from helpers import FIXTURES, chain_spec, circle_map, random_spec
 
 
 class TestCheckSpec:
+    """``BandSpec(...)`` checks its spec and base when it is made."""
+
     def test_rejects_other_valences(self):
-        path = CombinatorialMap.from_cycles(
-            4, sigma="(1)(2 3 4)", alpha="(1 2)(3 4)"
-        )
+        path = CombinatorialMap(4, (2, 1, 4, 3), (1, 3, 4, 2), 0)
         with pytest.raises(BadValence):
-            check_spec(BandSpec(path, (0, 0), ((0,), (0,))))
+            BandSpec(path, (0, 0), ((0,), (0,)))
 
     def test_rejects_bare_crossing_edge(self, curl):
         with pytest.raises(ZeroSubdivision):
-            check_spec(BandSpec(curl, (0, 0), ((0,), (0,))))
+            BandSpec(curl, (0, 0), ((0,), (0,)))
         with pytest.raises(ZeroSubdivision):
-            check_spec(BandSpec(curl, (1, 0), ((0, 0), (0,))))
+            BandSpec(curl, (1, 0), ((0, 0), (0,)))
 
     def test_two_valent_edges_may_skip_subdivision(self, triangle):
-        check_spec(BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,))))
+        BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,)))
 
     def test_lengths_must_match(self, triangle):
         with pytest.raises(BandSpecError):
-            check_spec(BandSpec(triangle, (0, 0), ((0,), (0,), (0,))))
+            BandSpec(triangle, (0, 0), ((0,), (0,), (0,)))
         with pytest.raises(BandSpecError):
-            check_spec(BandSpec(triangle, (0, 0, 0), ((0,), (0,))))
+            BandSpec(triangle, (0, 0, 0), ((0,), (0,)))
         with pytest.raises(BandSpecError):
-            check_spec(BandSpec(triangle, (0, 0, 0), ((0, 0), (0,), (0,))))
+            BandSpec(triangle, (0, 0, 0), ((0, 0), (0,), (0,)))
 
     def test_counts_must_be_non_negative(self, triangle):
         with pytest.raises(BandSpecError):
-            check_spec(BandSpec(triangle, (-1, 0, 0), ((0,), (0,), (0,))))
+            BandSpec(triangle, (-1, 0, 0), ((0,), (0,), (0,)))
         with pytest.raises(BandSpecError):
-            check_spec(BandSpec(triangle, (0, 0, 0), ((-1,), (0,), (0,))))
+            BandSpec(triangle, (0, 0, 0), ((-1,), (0,), (0,)))
 
 
 class TestSubdivide:
     def test_curl_gains_two_vertices(self, curl):
-        m = subdivide(curl, (1, 1))
-        rep = validate(m)
-        assert (rep.vertex_count, rep.edge_count, rep.face_count) == (3, 4, 3)
+        m = _subdivide(curl, (1, 1))[0]
+        validate(m)
+        assert (m.vertex_count, m.edge_count, len(faces(m))) == (3, 4, 3)
         assert sorted(m.valence(v) for v in range(1, 4)) == [2, 2, 4]
 
     def test_zero_counts_change_nothing(self, triangle):
-        assert subdivide(triangle, (0, 0, 0)) == triangle
+        assert _subdivide(triangle, (0, 0, 0))[0] == triangle
 
     def test_genus_is_preserved(self, torus):
-        m = subdivide(torus, (2, 3))
+        m = _subdivide(torus, (2, 3))[0]
         assert derived_genus(m) == 1
         assert m.vertex_count == 6
 
@@ -81,8 +80,8 @@ class TestLoopBand:
     def test_golden_diagram(self, loop1):
         bd = build_band(BandSpec(loop1, (0,), ((0,),)))
         m = bd.diagram
-        assert format_cycles(m.alpha) == "(1 2)(3 6)(4 5)(7 8)"
-        assert format_cycles(m.sigma) == "(1 2 3 4)(5 6 7 8)"
+        assert cycles_of_images(m.alpha) == [(1, 2), (3, 6), (4, 5), (7, 8)]
+        assert cycles_of_images(m.sigma) == [(1, 2, 3, 4), (5, 6, 7, 8)]
         assert [f.boundary for f in faces(m)] == [(1, 3, 7, 5), (2,), (4, 6), (8,)]
         assert bd.face_provenance == (None, 2, None, 1)
         assert bd.n == 1
@@ -98,9 +97,9 @@ class TestChainBands:
     def test_golden_two_chain(self, chain2_base):
         bd = build_band(BandSpec(chain2_base, (0, 0), ((0,), (0,))))
         m = bd.diagram
-        assert format_cycles(m.alpha) == (
-            "(1 10)(2 9)(3 6)(4 5)(7 16)(8 15)(11 14)(12 13)"
-        )
+        assert cycles_of_images(m.alpha) == [
+            (1, 10), (2, 9), (3, 6), (4, 5), (7, 16), (8, 15), (11, 14), (12, 13)
+        ]
         assert (m.vertex_count, m.edge_count, len(faces(m))) == (4, 8, 6)
         assert bd.face_provenance == (None, 2, None, None, 1, None)
         assert bd.n == 2
@@ -108,8 +107,8 @@ class TestChainBands:
 
     def test_three_chain_counts(self, chain3_band):
         m = chain3_band.diagram
-        rep = validate(m)
-        assert (rep.vertex_count, rep.edge_count, rep.face_count) == (6, 12, 8)
+        validate(m)
+        assert (m.vertex_count, m.edge_count, len(faces(m))) == (6, 12, 8)
         assert chain3_band.n == 3
         assert not chain3_band.degenerate
 
@@ -206,14 +205,14 @@ class TestFuzzedInvariants:
             spec = random_spec(rng, want_genus=1)
             bd = build_band(spec)
             assert derived_genus(bd.diagram) == 1
-            assert validate(bd.diagram).ok
+            validate(bd.diagram)
 
     def test_strand_circles_partition(self):
         rng = random.Random(33)
         for _ in range(20):
             spec = random_spec(rng)
             bd = build_band(spec)
-            m = subdivide(spec.base, spec.subdivisions)
+            m = _subdivide(spec.base, spec.subdivisions)[0]
             two_valent = sum(1 for v in range(1, m.vertex_count + 1) if m.valence(v) == 2)
             assert bd.n == two_valent
             darts = sorted(d for s in strands(bd.diagram) for d in s.darts)
@@ -227,7 +226,7 @@ class TestSpecFiles:
         assert spec.twists == ((0,), (0,), (0,))
 
     def test_defaults_for_omitted_edges(self, tmp_path, triangle):
-        save_cmap(triangle, tmp_path / "base.cmap")
+        (tmp_path / "base.cmap").write_text(format_cmap(triangle))
         doc = {"map": "base.cmap", "edges": [{"edge": 2, "subdivisions": 1}]}
         (tmp_path / "spec.json").write_text(json.dumps(doc))
         spec = load_band_spec(tmp_path / "spec.json")
@@ -251,17 +250,43 @@ class TestSpecFiles:
                 {"map": "base.cmap", "edges": [{"edge": float("inf")}]},
                 "bad edge entry",
             ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1.7, "subdivisions": 1}]},
+                "bad edge entry",
+            ),
+            ({"map": "base.cmap", "edges": [{"edge": True}]}, "bad edge entry"),
+            ({"map": "base.cmap", "edges": [{"edge": "1"}]}, "bad edge entry"),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": 1.0}]},
+                "bad edge entry",
+            ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": "1"}]},
+                "bad edge entry",
+            ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]},
+                "bad edge entry",
+            ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1, "twists": [False]}]},
+                "bad edge entry",
+            ),
+            (
+                {"map": "base.cmap", "edges": [{"edge": 1, "twists": [0.0]}]},
+                "bad edge entry",
+            ),
         ],
     )
     def test_bad_documents(self, tmp_path, triangle, doc, fragment):
-        save_cmap(triangle, tmp_path / "base.cmap")
+        (tmp_path / "base.cmap").write_text(format_cmap(triangle))
         (tmp_path / "spec.json").write_text(json.dumps(doc))
         with pytest.raises(BandSpecError) as err:
             load_band_spec(tmp_path / "spec.json")
         assert fragment in str(err.value)
 
     def test_unsubdivided_crossing_edges_rejected_at_load(self, tmp_path, curl):
-        save_cmap(curl, tmp_path / "base.cmap")
+        (tmp_path / "base.cmap").write_text(format_cmap(curl))
         (tmp_path / "spec.json").write_text(json.dumps({"map": "base.cmap"}))
         with pytest.raises(ZeroSubdivision):
             load_band_spec(tmp_path / "spec.json")
@@ -294,6 +319,30 @@ BAD_SIDECARS = [
     ("kind-bogus", _set(("crossing_kind", 0, "kind"), "bogus"), "unknown kind 'bogus'"),
     ("face-kind-bogus", _set(("face_provenance", 0, "kind"), "bogus"), "unknown kind 'bogus'"),
     ("owner-infinite", _set(("crossing_kind", 0, "owner"), float("inf")), "incomplete"),
+    ("vertex-true", _set(("crossing_kind", 0, "vertex"), True), "vertex must be an integer"),
+    ("vertex-float", _set(("crossing_kind", 0, "vertex"), 1.0), "vertex must be an integer"),
+    ("vertex-string", _set(("crossing_kind", 0, "vertex"), "1"), "vertex must be an integer"),
+    ("face-float", _set(("face_provenance", 0, "face"), 1.5), "face must be an integer"),
+    ("face-true", _set(("face_provenance", 0, "face"), True), "face must be an integer"),
+    ("owner-string", _set(("crossing_kind", 0, "owner"), "1"), "owner must be an integer"),
+    ("slot-true", _set(("crossing_kind", 0, "slot"), True), "slot must be an integer"),
+    ("slot-float", _set(("crossing_kind", 0, "slot"), 1.0), "slot must be an integer"),
+    (
+        "base-face-float",
+        _set(("face_provenance", 1, "base_face"), 2.0),
+        "base_face must be an integer",
+    ),
+    (
+        "base-face-string",
+        _set(("face_provenance", 1, "base_face"), "2"),
+        "base_face must be an integer",
+    ),
+    (
+        "crossings-object",
+        _set(("crossing_kind",), {"vertex": 1}),
+        "crossing_kind must be a list",
+    ),
+    ("faces-string", _set(("face_provenance",), "faces"), "face_provenance must be a list"),
     ("n-mismatch", _set(("n",), 4), "provenance n 4"),
     ("degenerate-mismatch", _set(("degenerate",), True), "provenance degenerate True"),
     ("circles-mismatch", _set(("circle_of_strand",), [3, 3, 3]), "circle_of_strand [3, 3, 3]"),

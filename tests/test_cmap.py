@@ -4,18 +4,14 @@ import pytest
 
 from bandlink import (
     CombinatorialMap,
-    cycles_of_images,
     derived_genus,
     faces,
     format_cmap,
-    format_cycles,
-    images_from_cycles,
     parse_cmap,
-    parse_cycles,
-    save_cmap,
     strands,
     validate,
 )
+from bandlink.cmap import cycles_of_images
 from bandlink.errors import CmapFormatError, GenusMismatch, MalformedPermutation
 from helpers import random_map, relabel
 
@@ -25,21 +21,11 @@ class TestPermutationHelpers:
         images = (2, 3, 1, 5, 4, 6)
         cycles = cycles_of_images(images)
         assert cycles == [(1, 2, 3), (4, 5), (6,)]
-        assert images_from_cycles(cycles, 6) == images
-
-    def test_format_drops_fixed_points(self):
-        assert format_cycles((1, 3, 2)) == "(2 3)"
-        assert format_cycles((1, 3, 2), keep_fixed=True) == "(1)(2 3)"
-
-    def test_identity_formats_as_unit(self):
-        assert format_cycles((1, 2)) == "()"
-
-    def test_parse_cycles(self):
-        assert parse_cycles("(1 2 3)(4 5)", 6) == (2, 3, 1, 5, 4, 6)
-
-    def test_parse_rejects_repeats(self):
-        with pytest.raises(MalformedPermutation):
-            parse_cycles("(1 2)(2 3)", 4)
+        assert all(
+            images[cyc[i] - 1] == cyc[(i + 1) % len(cyc)]
+            for cyc in cycles
+            for i in range(len(cyc))
+        )
 
     def test_images_reject_out_of_range(self):
         with pytest.raises(MalformedPermutation):
@@ -59,18 +45,12 @@ class TestConstruction:
         with pytest.raises(MalformedPermutation):
             CombinatorialMap(4, (1, 2, 4, 3), (2, 3, 4, 1), 0)
 
-    def test_from_cycles(self, curl):
-        m = CombinatorialMap.from_cycles(4, sigma="(1 2 3 4)", alpha="(1 2)(3 4)")
-        assert m.alpha == curl.alpha
-        assert m.sigma == curl.sigma
-
 
 class TestTriangle:
     def test_counts(self, triangle):
-        rep = validate(triangle)
-        assert (rep.vertex_count, rep.edge_count, rep.face_count) == (3, 3, 2)
-        assert rep.genus == 0
-        assert rep.ok
+        validate(triangle)
+        assert (triangle.vertex_count, triangle.edge_count, len(faces(triangle))) == (3, 3, 2)
+        assert triangle.component_genera == (0,)
 
     def test_faces(self, triangle):
         fs = faces(triangle)
@@ -90,9 +70,9 @@ class TestTriangle:
 
 class TestCurl:
     def test_counts(self, curl):
-        rep = validate(curl)
-        assert (rep.vertex_count, rep.edge_count, rep.face_count) == (1, 2, 3)
-        assert rep.genus == 0
+        validate(curl)
+        assert (curl.vertex_count, curl.edge_count, len(faces(curl))) == (1, 2, 3)
+        assert curl.component_genera == (0,)
 
     def test_faces(self, curl):
         assert [f.boundary for f in faces(curl)] == [(1, 3), (2,), (4,)]
@@ -105,15 +85,13 @@ class TestCurl:
 class TestTorus:
     def test_genus_one(self, torus):
         assert derived_genus(torus) == 1
-        assert validate(torus).ok
+        validate(torus)
 
     def test_declared_genus_enforced(self, torus):
         flat = CombinatorialMap(torus.dart_count, torus.alpha, torus.sigma, 0)
-        with pytest.raises(GenusMismatch):
+        with pytest.raises(GenusMismatch, match="gives genus 1"):
             validate(flat)
-        rep = validate(flat, strict=False)
-        assert not rep.ok
-        assert rep.genus == 1
+        assert flat.component_genera == (1,)
 
     def test_single_face(self, torus):
         assert len(faces(torus)) == 1
@@ -131,16 +109,15 @@ def _disjoint_union(a, b):
 class TestDisconnected:
     def test_two_spheres_accepted(self, triangle):
         two = _disjoint_union(triangle, triangle)
-        rep = validate(two)
-        assert rep.component_count == 2
-        assert rep.component_genera == (0, 0)
+        validate(two)
+        assert len(two.components) == 2
+        assert two.component_genera == (0, 0)
 
     def test_component_genera_checked(self, triangle, torus):
         mixed = _disjoint_union(triangle, torus)
         with pytest.raises(GenusMismatch):
             validate(mixed)
-        rep = validate(mixed, component_genera=[0, 1], strict=False)
-        assert rep.ok
+        validate(mixed, component_genera=[0, 1])
         with pytest.raises(GenusMismatch):
             validate(mixed, component_genera=[1, 0])
 
@@ -148,7 +125,7 @@ class TestDisconnected:
 class TestTextFormat:
     def test_round_trip(self, triangle, tmp_path):
         path = tmp_path / "t.cmap"
-        save_cmap(triangle, path)
+        path.write_text(format_cmap(triangle))
         again = parse_cmap(path.read_text())
         assert again == triangle
 
@@ -213,11 +190,24 @@ class TestRandomizedInvariants:
         rng = random.Random(8)
         for _ in range(50):
             m = random_map(rng)
-            rep = validate(m)
+            validate(m)
             assert (
-                rep.vertex_count - rep.edge_count + rep.face_count
-                == 2 - 2 * rep.genus
+                m.vertex_count - m.edge_count + len(faces(m))
+                == 2 - 2 * sum(m.component_genera)
             )
+
+    def test_euler_characteristic_is_even_per_component(self):
+        rng = random.Random(11)
+        maps = [random_map(rng) for _ in range(200)]
+        maps += [_disjoint_union(a, b) for a, b in zip(maps[0::2], maps[1::2])]
+        for m in maps:
+            for comp, genus in zip(m.components, m.component_genera):
+                darts = set(comp)
+                v = sum(1 for cyc in m.vertex_cycles if cyc[0] in darts)
+                f = sum(1 for face in faces(m) if face.boundary[0] in darts)
+                chi = v - len(comp) // 2 + f
+                assert chi % 2 == 0
+                assert chi == 2 - 2 * genus
 
     def test_face_count_matches_reverse_convention(self):
         rng = random.Random(9)

@@ -3,19 +3,15 @@ import random
 
 import pytest
 
-from bandlink import (
+from bandlink import close, faces, parse_trace, trace_to_json, verify_witness
+from bandlink.errors import UnknownVertex
+from bandlink.percolation import (
+    Closure,
     PercolationTrace,
     TraceEntry,
-    close,
     coloring_from_trace,
-    faces,
     format_trace,
-    parse_trace,
-    trace_to_json,
-    verify_witness,
 )
-from bandlink.errors import UnknownVertex
-from bandlink.percolation import Closure
 from helpers import random_map, sequential_close
 
 
@@ -48,10 +44,6 @@ class TestTriangle:
         assert trace.entries == (trace.entries[0],)
         assert trace.entries[0].vertex == 2
         assert trace.entries[0].face == 1
-
-    def test_face_steps(self, triangle):
-        coloring, _ = close(triangle, faces(triangle), [1, 3])
-        assert coloring.face_steps == {1: 1, 2: 1}
 
 
 class TestArguments:

@@ -1,0 +1,76 @@
+"""The README's examples run as written, and the public names match the docs."""
+
+import contextlib
+import io
+import re
+import shlex
+import shutil
+
+import bandlink
+from bandlink.cli import main
+from helpers import FIXTURES
+
+README = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+
+PUBLIC_NAMES = [
+    # README library section
+    "BandSpec", "build_band", "census", "faces", "hull_constructive_band",
+    "hull_exact", "load_cmap", "report",
+    # what bench/ imports besides those
+    "CombinatorialMap", "band_diagram_from_provenance", "close",
+    "derived_genus", "format_cmap", "format_report", "load_band_spec",
+    "parse_cmap", "parse_trace", "provenance_to_json", "render_svg",
+    "strands", "trace_to_json", "validate", "verify_witness",
+    # the errors callers catch
+    "BadValence", "BandlinkError", "BandSpecError", "BudgetExceeded",
+    "CmapFormatError", "ConstructionStuck", "GenusMismatch",
+    "MalformedPermutation", "NonPlanar", "ProvenanceError", "UnknownVertex",
+    "UnverifiedWitness", "ZeroSubdivision",
+]
+
+
+def fenced_block(section: str, lang: str) -> str:
+    """The first ```lang block under the README heading ``## section``."""
+    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{lang}\n(.*?)```", body, re.S).group(1)
+
+
+def test_public_names():
+    assert sorted(bandlink.__all__) == sorted(PUBLIC_NAMES)
+    assert len(bandlink.__all__) == len(set(bandlink.__all__)) == 36
+    exec(f"from bandlink import {', '.join(bandlink.__all__)}", {})
+
+
+def test_library_example(monkeypatch):
+    code = fenced_block("Library", "python")
+    imported = re.search(r"from bandlink import \((.*?)\)", code, re.S).group(1)
+    assert {name.strip() for name in imported.split(",") if name.strip()} <= set(
+        bandlink.__all__
+    )
+    shown = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    monkeypatch.chdir(FIXTURES.parent)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == shown
+
+
+def test_cli_walkthrough(tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for line in fenced_block("CLI walkthrough", "sh").splitlines():
+        if line.startswith("$ "):
+            calls.append((shlex.split(line[2:], comments=True), []))
+        elif line:
+            calls[-1][1].append(line)
+    assert len(calls) == 7
+    for argv, shown in calls:
+        assert argv[0] == "bandlink"
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out.splitlines() == shown, argv
+    assert (tmp_path / "dl.svg").read_text().startswith("<svg")
