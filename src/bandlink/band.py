@@ -427,7 +427,7 @@ def load_band_spec(path) -> BandSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise BandSpecError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandSpecError(f"{path}: missing 'map' entry")
@@ -501,7 +501,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProvenanceError(f"bad provenance JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProvenanceError("provenance document is not a JSON object")

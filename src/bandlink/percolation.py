@@ -198,6 +198,9 @@ def parse_trace(text: str) -> PercolationTrace:
     if body.startswith("{"):
         try:
             doc = json.loads(body)
+        except (ValueError, RecursionError) as exc:
+            raise CmapFormatError(f"bad trace JSON: {exc}") from exc
+        try:
             manual = json_typed(doc.get("manual", []), list, "manual")
             steps = json_typed(doc.get("steps", []), list, "steps")
             return PercolationTrace(
@@ -207,7 +210,7 @@ def parse_trace(text: str) -> PercolationTrace:
                     for s in steps
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise CmapFormatError(f"bad trace JSON: {exc}") from exc
     manual: tuple[int, ...] = ()
     entries = []

@@ -5,11 +5,17 @@ component on a circle and relax every other vertex to the average of its
 neighbors.  Loops and parallel edges bow out on Bezier curves so they stay
 visible.  The output is byte stable: fixed iteration count, coordinates
 rounded before writing, components laid side by side in dart order.
+
+The bytes depend on the order of the float operations, which is fixed: the
+relaxation is Gauss-Seidel in ascending vertex id, and each vertex sums the
+x and the y of its neighbors, separately, in rotation order with the
+builtin ``sum``, then divides each by its degree.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 from .band import BandDiagram, KIND_CLASP, KIND_TWIST
@@ -48,23 +54,25 @@ def _component_layout(
     for v in outer.vertex_list:
         if v not in rim:
             rim.append(v)
-    pos: dict[int, tuple[float, float]] = {}
+    # One x and one y slot per vertex id.  Slot 0 stays 0.0: every row reads
+    # it first, so each ``sum`` adds the same floats in the same order as a
+    # sum over the neighbours alone, and a degree-1 row still gets a tuple
+    # from its itemgetter.
+    xs = [0.0] * (m.vertex_count + 1)
+    ys = [0.0] * (m.vertex_count + 1)
     for i, v in enumerate(rim):
         ang = -math.pi / 2 + 2 * math.pi * i / len(rim)
-        pos[v] = (RADIUS * math.cos(ang), RADIUS * math.sin(ang))
+        xs[v], ys[v] = RADIUS * math.cos(ang), RADIUS * math.sin(ang)
     inner = sorted({m.vertex_of[d - 1] for d in comp} - set(rim))
+    rows = []
     for v in inner:
-        pos[v] = (0.0, 0.0)
-    neighbors: dict[int, list[int]] = {v: [] for v in inner}
-    for v in inner:
-        for d in m.vertex_cycles[v - 1]:
-            neighbors[v].append(m.vertex_of[m.alpha[d - 1] - 1])
+        near = [m.vertex_of[m.alpha[d - 1] - 1] for d in m.vertex_cycles[v - 1]]
+        rows.append((v, itemgetter(0, *near), len(near)))
     for _ in range(ROUNDS):
-        for v in inner:
-            xs = [pos[u][0] for u in neighbors[v]]
-            ys = [pos[u][1] for u in neighbors[v]]
-            pos[v] = (sum(xs) / len(xs), sum(ys) / len(ys))
-    return pos
+        for v, near, k in rows:
+            xs[v] = sum(near(xs)) / k
+            ys[v] = sum(near(ys)) / k
+    return {v: (xs[v], ys[v]) for v in rim + inner}
 
 
 def _fmt(x: float) -> str:

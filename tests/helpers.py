@@ -5,11 +5,13 @@ Every generator takes an explicit rng; nothing here touches global state.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from pathlib import Path
 
 from bandlink import BandSpec, CombinatorialMap, derived_genus, faces
 from bandlink.errors import BandlinkError
+from bandlink.render import RADIUS, ROUNDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,3 +175,37 @@ def reference_hull(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:
             if close_mask(masks, start) == full:
                 return size, subset
     raise AssertionError("the full vertex set failed to percolate")
+
+
+def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[float, float]]:
+    """Vertex positions of one component, as ``render`` computed them on dicts.
+
+    The relaxation ``render._component_layout`` used before it moved to a
+    flat list of complex positions: rim on a circle, then ``ROUNDS``
+    Gauss-Seidel rounds in ascending vertex id, each vertex set to the mean
+    of its neighbours in rotation order.  Kept as a differential oracle.
+    """
+    comp_set = set(comp)
+    comp_faces = [f for f in faces_list if f.boundary[0] in comp_set]
+    outer = max(comp_faces, key=lambda f: (len(f.boundary), -f.id))
+    rim: list[int] = []
+    for v in outer.vertex_list:
+        if v not in rim:
+            rim.append(v)
+    pos: dict[int, tuple[float, float]] = {}
+    for i, v in enumerate(rim):
+        ang = -math.pi / 2 + 2 * math.pi * i / len(rim)
+        pos[v] = (RADIUS * math.cos(ang), RADIUS * math.sin(ang))
+    inner = sorted({m.vertex_of[d - 1] for d in comp} - set(rim))
+    for v in inner:
+        pos[v] = (0.0, 0.0)
+    neighbors: dict[int, list[int]] = {v: [] for v in inner}
+    for v in inner:
+        for d in m.vertex_cycles[v - 1]:
+            neighbors[v].append(m.vertex_of[m.alpha[d - 1] - 1])
+    for _ in range(ROUNDS):
+        for v in inner:
+            xs = [pos[u][0] for u in neighbors[v]]
+            ys = [pos[u][1] for u in neighbors[v]]
+            pos[v] = (sum(xs) / len(xs), sum(ys) / len(ys))
+    return pos

@@ -351,6 +351,14 @@ BAD_SIDECARS = [
         lambda doc: {k: v for k, v in doc.items() if k != "circle_of_strand"},
         "incomplete provenance document: 'circle_of_strand'",
     ),
+    (
+        # Too deep for json.dumps as well, so this edit returns the text.
+        "crossings-nested-deep",
+        lambda doc: json.dumps(dict(doc, crossing_kind=0)).replace(
+            '"crossing_kind": 0', '"crossing_kind": ' + "[" * 100_000 + "]" * 100_000
+        ),
+        "bad provenance JSON",
+    ),
 ]
 
 
@@ -372,8 +380,9 @@ class TestProvenanceSidecar:
     )
     def test_bad_sidecars_rejected(self, chain3_band, edit, fragment):
         doc = edit(json.loads(provenance_to_json(chain3_band)))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
         with pytest.raises(ProvenanceError) as err:
-            band_diagram_from_provenance(chain3_band.diagram, json.dumps(doc))
+            band_diagram_from_provenance(chain3_band.diagram, text)
         assert fragment in str(err.value)
 
     def test_format_line_is_checked(self, chain3_band):

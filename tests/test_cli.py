@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -11,6 +14,8 @@ CURL = str(FIXTURES / "curl.cmap")
 TORUS = str(FIXTURES / "torus.cmap")
 CHAIN3 = str(FIXTURES / "chain3.json")
 CURLBAND = str(FIXTURES / "curlband.json")
+# A JSON array nested far deeper than the decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture()
@@ -263,6 +268,7 @@ class TestBadInputFiles:
                     "step-face-bool.json",
                     '{"manual": [1], "steps": [{"step": 1, "vertex": 2, "face": true}]}',
                 ),
+                ("manual-nested-deep.json", '{"manual": %s}' % DEEP),
             ]
         ],
     )
@@ -273,19 +279,20 @@ class TestBadInputFiles:
         self.assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize(
-        "doc",
+        "body",
         [
-            {"map": 5},
-            {"map": "base.cmap", "edges": 3},
-            {"map": "base.cmap", "edges": [{"edge": 1.7, "subdivisions": 1}]},
-            {"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]},
+            json.dumps({"map": 5}),
+            json.dumps({"map": "base.cmap", "edges": 3}),
+            json.dumps({"map": "base.cmap", "edges": [{"edge": 1.7, "subdivisions": 1}]}),
+            json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]}),
+            '{"map": "base.cmap", "edges": %s}' % DEEP,
         ],
-        ids=["map-number", "edges-number", "edge-float", "twists-string"],
+        ids=["map-number", "edges-number", "edge-float", "twists-string", "edges-nested-deep"],
     )
-    def test_bad_spec(self, tmp_path, doc, capsys):
+    def test_bad_spec(self, tmp_path, body, capsys):
         (tmp_path / "base.cmap").write_text(open(TRIANGLE).read())
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2
         self.assert_one_error_line(capsys.readouterr())
 
@@ -327,3 +334,90 @@ class TestDeterminism:
         assert main(list(argv)) in (0, 3)
         second = capsys.readouterr()
         assert first.out == second.out
+
+
+class TestMutationFuzz:
+    """Seeded mutations (character edits, JSON value swaps) of every file the CLI reads.
+
+    Each mutated file goes through ``main()``; whatever it does to the
+    input, the command must end with a documented exit code.
+    """
+
+    CASES = 1000
+    CMAPS = ("triangle.cmap", "curl.cmap", "loop1.cmap", "chain2_base.cmap", "torus.cmap")
+    ALPHABET = "0123456789-+.eE[]{}\",: \nabcgnrsvx"
+    # A "value" edit swaps one number, string or literal for one of these,
+    # so that the document stays valid while a field gets the wrong type.
+    SCALAR = re.compile(r'-?\d+|"[^"\n]*"|true|false|null')
+    TOKENS = ("1.5", "-1", "0", "1e9", "true", "null", '"1"', "[]", "{}", "[1]")
+    CMAP_COMMANDS = (
+        ["validate"],
+        ["faces"],
+        ["report"],
+        ["render", "-o", "out.svg"],
+        ["percolate", "--manual", "1"],
+    )
+
+    @classmethod
+    def mutate(cls, rng, text: str) -> str:
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("insert", "delete", "replace", "value"))
+            if op == "value":
+                spans = [m.span() for m in cls.SCALAR.finditer(text)]
+                if spans:
+                    a, b = rng.choice(spans)
+                    text = text[:a] + rng.choice(cls.TOKENS) + text[b:]
+                continue
+            i = rng.randrange(len(text) + 1)
+            if op == "insert" or i == len(text):
+                text = text[:i] + rng.choice(cls.ALPHABET) + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(cls.ALPHABET) + text[i + 1:]
+        return text
+
+    def test_mutated_inputs_exit_cleanly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in self.CMAPS + ("chain3.json",):
+            (tmp_path / name).write_text((FIXTURES / name).read_text())
+        assert main(["build-band", "chain3.json", "-o", "c3.cmap",
+                     "--provenance", "c3.prov.json"]) == 0
+        assert main(["percolate", "c3.cmap", "--manual", "1,3", "--trace", "t.txt"]) == 0
+        assert main(["percolate", "c3.cmap", "--manual", "1,3", "--trace", "t.json"]) == 0
+
+        # (file to mutate, the commands that read it, the mutated file's name)
+        sources = [
+            (name, [cmd[:1] + ["m.cmap"] + cmd[1:] for cmd in self.CMAP_COMMANDS], "m.cmap")
+            for name in self.CMAPS
+        ]
+        sources += [
+            ("chain3.json",
+             [["build-band", "m.json", "-o", "o.cmap", "--provenance", "o.json"],
+              ["report", "m.json"]],
+             "m.json"),
+            ("c3.prov.json",
+             [["faces", "c3.cmap", "--provenance", "m.json"],
+              ["report", "c3.cmap", "--provenance", "m.json"],
+              ["render", "c3.cmap", "--provenance", "m.json", "-o", "out.svg"]],
+             "m.json"),
+            ("t.txt", [["render", "c3.cmap", "--trace", "m.txt", "-o", "out.svg"]], "m.txt"),
+            ("t.json", [["render", "c3.cmap", "--trace", "m.json", "-o", "out.svg"]], "m.json"),
+        ]
+        texts = {name: (tmp_path / name).read_text() for name, _, _ in sources}
+        rng = random.Random(2024)
+        codes = Counter()
+        for case in range(self.CASES):
+            name, commands, target = sources[case % len(sources)]
+            text = self.mutate(rng, texts[name])
+            (tmp_path / target).write_text(text)
+            argv = commands[(case // len(sources)) % len(commands)]
+            try:
+                code = main(argv)
+            except Exception as exc:  # report which input let it escape
+                pytest.fail(f"{' '.join(argv)} on mutated {name} raised {exc!r}: {text!r}")
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), (argv, name, text)
+            codes[code] += 1
+        # The mutations reach past the parsers as well as into their errors.
+        assert codes[0] > 100 and codes[2] > 100

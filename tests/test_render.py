@@ -1,8 +1,20 @@
+import random
+
 import pytest
 
-from bandlink import close, faces, render_svg
+from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import GenusMismatch, NonPlanar
-from helpers import circle_map
+from bandlink.render import _component_layout
+from helpers import circle_map, random_map, random_spec, reference_layout
+
+
+def _two_triangles(triangle) -> CombinatorialMap:
+    return CombinatorialMap(
+        12,
+        tuple(list(triangle.alpha) + [d + 6 for d in triangle.alpha]),
+        tuple(list(triangle.sigma) + [d + 6 for d in triangle.sigma]),
+        0,
+    )
 
 
 class TestBasics:
@@ -50,13 +62,7 @@ class TestDecoration:
         assert "<title>" in svg
 
     def test_disconnected_maps_are_tiled(self, triangle):
-        two = type(triangle)(
-            12,
-            tuple(list(triangle.alpha) + [d + 6 for d in triangle.alpha]),
-            tuple(list(triangle.sigma) + [d + 6 for d in triangle.sigma]),
-            0,
-        )
-        svg = render_svg(two)
+        svg = render_svg(_two_triangles(triangle))
         assert svg.count("<circle") == 6
 
 
@@ -65,3 +71,50 @@ class TestScaling:
         m = circle_map(9)
         svg = render_svg(m)
         assert svg.count("<circle") == 9
+
+
+def _pendant_and_loop() -> CombinatorialMap:
+    """Octagon with a hub X inside, joined to rim vertices 1, 4 and 6.
+
+    X carries a loop and a pendant vertex P, so both X (its own neighbour)
+    and P (degree 1) are relaxed while the octagon stays the largest face.
+    Edge e has darts 2e-1 and 2e; rotations are counterclockwise.
+    """
+    rotations = [
+        (1, 18, 16), (3, 2), (5, 4), (7, 20, 6),  # R1..R4
+        (9, 8), (11, 22, 10), (13, 12), (15, 14),  # R5..R8
+        (17, 19, 23, 21, 25, 26),  # X: R1, R4, P, R6, loop
+        (24,),  # P
+    ]
+    sigma = [0] * 26
+    for cycle in rotations:
+        for i, d in enumerate(cycle):
+            sigma[d - 1] = cycle[(i + 1) % len(cycle)]
+    alpha = [d + 1 if d % 2 else d - 1 for d in range(1, 27)]
+    return CombinatorialMap(26, tuple(alpha), tuple(sigma), 0)
+
+
+class TestLayout:
+    def test_matches_the_dict_relaxation(self, triangle, curl, loop1, chain2_base):
+        hub = _pendant_and_loop()
+        rng = random.Random(55)
+        maps = [triangle, curl, loop1, chain2_base, _two_triangles(triangle), hub]
+        maps += [circle_map(n) for n in range(1, 10)]
+        maps += [
+            build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram
+            for _ in range(30)
+        ]
+        maps += [random_map(rng) for _ in range(50)]
+        for m in maps:
+            for comp in m.components:
+                got = _component_layout(m, comp, m.faces)
+                assert got == reference_layout(m, comp, m.faces)
+
+        # The hand-built map relaxes a degree-1 vertex and a looped vertex.
+        pos = _component_layout(hub, hub.components[0], hub.faces)
+        rim = max(hub.faces, key=lambda f: (len(f.boundary), -f.id)).vertex_list
+        inner = set(pos) - set(rim)
+        valence = {v: len(hub.vertex_cycles[v - 1]) for v in inner}
+        assert sorted(valence.values()) == [1, 6]
+        assert hub.vertex_count == 10 and len(rim) == 8
+        assert derived_genus(hub) == 0
