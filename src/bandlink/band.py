@@ -29,6 +29,7 @@ from .errors import (
     GenusMismatch,
     ProvenanceError,
     ZeroSubdivision,
+    clip_repr,
     json_typed,
 )
 
@@ -451,7 +452,7 @@ def load_band_spec(path) -> BandSpec:
             twists_in = json_typed(entry.get("twists", [0] * (k + 1)), list, "twists")
             ts = tuple(json_typed(t, int, "twist") for t in twists_in)
         except (KeyError, TypeError) as exc:
-            raise BandSpecError(f"bad edge entry {entry!r}") from exc
+            raise BandSpecError(f"bad edge entry {clip_repr(entry)}") from exc
         if not 1 <= eid <= e_count:
             raise BandSpecError(f"edge id {eid} outside 1..{e_count}")
         if eid in seen:
@@ -506,13 +507,17 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     if not isinstance(doc, dict):
         raise ProvenanceError("provenance document is not a JSON object")
     if doc.get("format") != PROVENANCE_FORMAT:
-        raise ProvenanceError(f"unknown provenance format {doc.get('format')!r}")
+        raise ProvenanceError(
+            f"unknown provenance format {clip_repr(doc.get('format'))}"
+        )
     try:
         kinds: list[Crossing | None] = [None] * m.vertex_count
         for entry in json_typed(doc["crossing_kind"], list, "crossing_kind"):
             vid = _slot(entry, "vertex", kinds)
             if entry["kind"] not in KINDS:
-                raise ProvenanceError(f"vertex {vid}: unknown kind {entry['kind']!r}")
+                raise ProvenanceError(
+                    f"vertex {vid}: unknown kind {clip_repr(entry['kind'])}"
+                )
             kinds[vid - 1] = Crossing(
                 entry["kind"],
                 json_typed(entry["owner"], int, "owner"),
@@ -522,7 +527,9 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         for entry in json_typed(doc["face_provenance"], list, "face_provenance"):
             fid = _slot(entry, "face", listed)
             if entry["kind"] not in ("base", "internal"):
-                raise ProvenanceError(f"face {fid}: unknown kind {entry['kind']!r}")
+                raise ProvenanceError(
+                    f"face {fid}: unknown kind {clip_repr(entry['kind'])}"
+                )
             listed[fid - 1] = entry
         if any(entry is None for entry in listed):
             raise ProvenanceError("face list does not match the map's faces")
@@ -546,6 +553,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     for key, want in derived.items():
         if recorded[key] != want:
             raise ProvenanceError(
-                f"provenance {key} {recorded[key]!r} does not match the map's {want!r}"
+                f"provenance {key} {clip_repr(recorded[key])} does not match "
+                f"the map's {clip_repr(want)}"
             )
     return bd

@@ -63,16 +63,16 @@ def report(subject: BandDiagram | CombinatorialMap, hull: HullResult) -> BoundsR
         "the band surface taken on trust here",
         f"upper bound {upper} is a verified percolating set",
     ]
+    t = g = r = None
     if upper < lower:
         notes.append(
             "upper bound undercuts the trusted lower bound; the diagram is "
-            "not a band diagram of the expected kind"
+            "not a band diagram of the expected kind; no conclusion"
         )
-    if upper == lower:
+    elif upper == lower:
         t, g, r = lower, n, n
         notes.append("bounds meet; invariants are pinned")
     else:
-        t = g = r = None
         notes.append(f"gap of {upper - lower}; no conclusion")
     return BoundsReport(
         n=n,
@@ -96,6 +96,11 @@ def format_report(r: BoundsReport) -> str:
     if r.conclusive:
         lines.append(
             f"tunnel={r.tunnel_number} genus={r.splitting_genus} rank={r.group_rank}"
+        )
+    elif r.upper < r.lower:
+        lines.append(
+            f"contradiction: upper={r.upper} is below the trusted lower={r.lower}; "
+            "no conclusion"
         )
     else:
         lines.append(f"gap={r.upper - r.lower} no conclusion")

@@ -20,6 +20,7 @@ from .errors import (
     CmapFormatError,
     GenusMismatch,
     MalformedPermutation,
+    clip_repr,
 )
 
 
@@ -309,14 +310,14 @@ def parse_cmap(text: str) -> CombinatorialMap:
         if not header_seen:
             if line != FORMAT_HEADER:
                 raise CmapFormatError(
-                    f"line {lineno}: expected '{FORMAT_HEADER}' header, got {line!r}"
+                    f"line {lineno}: expected '{FORMAT_HEADER}' header, got {clip_repr(line)}"
                 )
             header_seen = True
             continue
         parts = line.split()
         key, args = parts[0], parts[1:]
         if key not in ("genus", "darts", "alpha", "sigma"):
-            raise CmapFormatError(f"line {lineno}: unknown directive {key!r}")
+            raise CmapFormatError(f"line {lineno}: unknown directive {clip_repr(key)}")
         if key in fields:
             raise CmapFormatError(f"line {lineno}: duplicate directive {key!r}")
         fields[key] = (lineno, args)
@@ -331,7 +332,9 @@ def parse_cmap(text: str) -> CombinatorialMap:
         try:
             return int(token)
         except ValueError:
-            raise CmapFormatError(f"line {lineno}: {key} value {token!r} is not an integer")
+            raise CmapFormatError(
+                f"line {lineno}: {key} value {clip_repr(token)} is not an integer"
+            )
 
     lineno, args = fields["darts"]
     if len(args) != 1:

@@ -2,7 +2,8 @@
 
 Every error carries an ``exit_code`` so the command line front end can map
 failures onto its documented exit statuses without a big lookup table.
-:func:`json_typed` is the one type check the JSON readers share.
+:func:`json_typed` is the one type check the JSON readers share, and
+:func:`clip_repr` bounds every input value an error message echoes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class UnverifiedWitness(BandlinkError):
 
 class BudgetExceeded(BandlinkError):
     """The exhaustive hull search spent its budget of face visits before
-    finishing; ``examined`` holds the visits spent."""
+    finishing; ``examined`` holds the visits spent.  Subsets the search
+    skips cost no visits."""
 
     exit_code = 4
 
@@ -91,5 +93,15 @@ def json_typed(value, kind: type, field: str):
     """
     if type(value) is not kind:
         noun = "an integer" if kind is int else "a list"
-        raise TypeError(f"{field} must be {noun}, got {value!r}")
+        raise TypeError(f"{field} must be {noun}, got {clip_repr(value)}")
     return value
+
+
+def clip_repr(value) -> str:
+    """``repr(value)``, cut to 80 characters and ``...`` when longer.
+
+    Error messages echo input values with this, so a huge or deeply nested
+    value still gives a short ``error:`` line.
+    """
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."

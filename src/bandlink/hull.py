@@ -3,11 +3,24 @@
 Two strategies, both on the closure engine of :mod:`bandlink.percolation`.
 ``hull_exact`` tries subsets in ascending size, lexicographic within a size,
 so the first hit is the canonical minimum witness; subsets that share a prefix
-share its closure.  It meters its work in face visits against a budget
-because the search space is binomial.  ``hull_constructive_band`` walks a
-band diagram face by face and assembles a witness of size n - 1 directly,
-where n is the number of circles; it never searches, so it scales, but it
-only applies to band diagrams.
+share its closure.  With prefix P, it skips candidate c and every extension:
+
+- when the closure of P already colors c, at any size after the first one
+  searched.  A set holding P and c has the closure of the same set without c,
+  which is one smaller, and that size failed.  The first size is searched
+  without this rule, since ``start_size`` may overshoot the minimum.
+- when an earlier sibling c' < c colored c beyond the closure of P.  Then
+  cl(P + c) lies inside cl(P + c'), so P + c + T percolates only if the
+  lexicographically earlier P + c' + T does, and that set came first.
+
+A skipped set cannot be the lexicographically first percolating set of its
+size, so the witness is the one the unpruned search finds.  Neither rule
+uses the circle count.  The search meters its work in face visits against a
+budget because the space is binomial; a skipped set costs none.
+
+``hull_constructive_band`` walks a band diagram face by face and assembles a
+witness of size n - 1 directly, where n is the number of circles; it never
+searches, so it scales, but it only applies to band diagrams.
 """
 
 from __future__ import annotations
@@ -30,8 +43,8 @@ class HullResult:
 
     ``verified`` records that the producer checked the witness percolates;
     ``examined`` counts the closure engine's face visits spent by the
-    exhaustive search (0 for the constructive route).  ``log`` narrates
-    constructive decisions.
+    exhaustive search (0 for the constructive route); subsets it skips cost
+    none.  ``log`` narrates constructive decisions.
     """
 
     size: int
@@ -68,9 +81,14 @@ def hull_exact(
 ) -> HullResult:
     """Find a minimum percolating set by exhaustive ascending search.
 
-    The budget is measured in face visits of the closure engine and checked
-    after each full subset.  ``start_size`` skips smaller subsets: it is an
-    assertion that they all fail, so only pass it when that is already known.
+    The witness is the lexicographically smallest minimum set, the one the
+    unpruned search finds; the module docstring gives the two skip rules and
+    why they keep it.  The budget is measured in face visits of the closure
+    engine and checked after each full subset; skipped subsets cost none.
+    ``start_size`` skips smaller subsets: it is an assertion that they all
+    fail, so only pass it when that is already known.  The first size
+    searched is never pruned by the closure rule, so an overshooting
+    ``start_size`` still yields the lexicographically first set of that size.
     """
     nv = m.vertex_count
     if not 0 <= start_size <= nv:
@@ -78,14 +96,19 @@ def hull_exact(
     limit = _budget(budget)
     engine = Closure(nv, faces(m))
     engine.add(())
+    colored, order = engine.colored, engine.order
     completed_size = start_size - 1 if start_size > 0 else None
     for size in range(start_size, nv + 1):
         # Lexicographic depth-first walk; backtracking undoes to the mark.
+        # covered[d] holds the vertices the earlier siblings at depth d
+        # colored beyond the prefix's closure.
         prefix: list[int] = []
         marks: list[int] = []
+        covered = [set() for _ in range(size + 1)]
         nxt = 1
         while True:
-            if len(prefix) == size:
+            depth = len(prefix)
+            if depth == size:
                 if engine.visits > limit:
                     raise BudgetExceeded(
                         f"hull search spent {engine.visits} face visits "
@@ -93,13 +116,19 @@ def hull_exact(
                         examined=engine.visits,
                         best_known=completed_size,
                     )
-                if len(engine.order) == nv:
+                if len(order) == nv:
                     return HullResult(
                         size, tuple(prefix), "exact", True, engine.visits
                     )
-            if len(prefix) < size and nxt <= nv - size + len(prefix) + 1:
-                marks.append(len(engine.order))
+            if depth < size and nxt <= nv - size + depth + 1:
+                if nxt in covered[depth] or (size > start_size and colored[nxt]):
+                    nxt += 1
+                    continue
+                mark = len(order)
+                marks.append(mark)
                 engine.add((nxt,))
+                covered[depth].update(order[mark:])
+                covered[depth + 1].clear()
                 prefix.append(nxt)
                 nxt += 1
             elif prefix:

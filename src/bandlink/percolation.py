@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import CmapFormatError, UnknownVertex, json_typed
+from .errors import CmapFormatError, UnknownVertex, clip_repr, json_typed
 
 
 @dataclass(frozen=True)
@@ -227,5 +227,5 @@ def parse_trace(text: str) -> PercolationTrace:
                 raise ValueError
             entries.append(TraceEntry(int(parts[1]), int(parts[3]), int(parts[5])))
         except ValueError:
-            raise CmapFormatError(f"line {lineno}: bad trace line {line!r}") from None
+            raise CmapFormatError(f"line {lineno}: bad trace line {clip_repr(line)}") from None
     return PercolationTrace(manual, tuple(entries))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from bandlink import BandSpec, CombinatorialMap, derived_genus, faces
 from bandlink.errors import BandlinkError
+from bandlink.percolation import Closure
 from bandlink.render import RADIUS, ROUNDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,6 +175,39 @@ def reference_hull(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:
                 start |= 1 << (v - 1)
             if close_mask(masks, start) == full:
                 return size, subset
+    raise AssertionError("the full vertex set failed to percolate")
+
+
+def reference_exact(
+    m: CombinatorialMap, start_size: int = 0
+) -> tuple[int, tuple[int, ...], int]:
+    """(size, witness, face visits) of the unpruned lexicographic search.
+
+    The prefix-sharing depth-first walk ``hull_exact`` ran before it skipped
+    candidates by closure: every subset of each size from ``start_size`` up
+    is closed, in lexicographic order.  Kept as the differential oracle for
+    ``start_size`` and as the visit count the pruning is measured against.
+    """
+    nv = m.vertex_count
+    engine = Closure(nv, faces(m))
+    engine.add(())
+    for size in range(start_size, nv + 1):
+        prefix: list[int] = []
+        marks: list[int] = []
+        nxt = 1
+        while True:
+            if len(prefix) == size and len(engine.order) == nv:
+                return size, tuple(prefix), engine.visits
+            if len(prefix) < size and nxt <= nv - size + len(prefix) + 1:
+                marks.append(len(engine.order))
+                engine.add((nxt,))
+                prefix.append(nxt)
+                nxt += 1
+            elif prefix:
+                engine.undo(marks.pop())
+                nxt = prefix.pop() + 1
+            else:
+                break
     raise AssertionError("the full vertex set failed to percolate")
 
 

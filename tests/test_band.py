@@ -346,6 +346,23 @@ BAD_SIDECARS = [
     ("n-mismatch", _set(("n",), 4), "provenance n 4"),
     ("degenerate-mismatch", _set(("degenerate",), True), "provenance degenerate True"),
     ("circles-mismatch", _set(("circle_of_strand",), [3, 3, 3]), "circle_of_strand [3, 3, 3]"),
+    # Echoed values are clipped to 80 characters of their repr.
+    ("format-long", _set(("format",), "x" * 5000), "format '" + "x" * 79 + "..."),
+    (
+        "crossing-kind-long",
+        _set(("crossing_kind", 0, "kind"), "x" * 5000),
+        "unknown kind '" + "x" * 79 + "...",
+    ),
+    (
+        "face-kind-long",
+        _set(("face_provenance", 0, "kind"), "x" * 5000),
+        "unknown kind '" + "x" * 79 + "...",
+    ),
+    (
+        "circles-long",
+        _set(("circle_of_strand",), list(range(5000))),
+        repr(list(range(5000)))[:80] + "... does not match",
+    ),
     (
         "circles-missing",
         lambda doc: {k: v for k, v in doc.items() if k != "circle_of_strand"},

@@ -41,6 +41,15 @@ class TestInconclusiveReports:
         assert rep.tunnel_number is None
         assert format_report(rep).endswith("gap=2 no conclusion\n")
 
+    def test_undercut_upper_bound_is_a_contradiction(self, torus):
+        rep = report(torus, hull_exact(torus))
+        assert not rep.conclusive
+        assert (rep.n, rep.lower, rep.upper) == (2, 1, 0)
+        assert format_report(rep).endswith(
+            "contradiction: upper=0 is below the trusted lower=1; no conclusion\n"
+        )
+        assert not any("gap" in note for note in rep.notes)
+
     def test_torus_band_stays_honest(self, torus_band):
         rep = report(torus_band, hull_exact(torus_band.diagram))
         assert not rep.conclusive

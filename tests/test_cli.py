@@ -197,6 +197,14 @@ class TestReport:
         out = capsys.readouterr().out
         assert out.endswith("gap=2 no conclusion\n")
 
+    def test_undercut_exits_three(self, capsys):
+        assert main(["report", TORUS]) == 3
+        assert capsys.readouterr().out == (
+            "n=2\n"
+            "lower=1 upper=0 witness=- method=exact\n"
+            "contradiction: upper=0 is below the trusted lower=1; no conclusion\n"
+        )
+
     def test_json_output(self, built, capsys):
         path, prov = built
         assert main(["report", path, "--provenance", prov, "--json"]) == 0
@@ -269,6 +277,8 @@ class TestBadInputFiles:
                     '{"manual": [1], "steps": [{"step": 1, "vertex": 2, "face": true}]}',
                 ),
                 ("manual-nested-deep.json", '{"manual": %s}' % DEEP),
+                ("manual-long-string.json", json.dumps({"manual": [1, 2, "x" * 5000]})),
+                ("step-long-line.txt", "manual: 1\nstep " + "x" * 5000 + "\n"),
             ]
         ],
     )
@@ -276,7 +286,7 @@ class TestBadInputFiles:
         trace = tmp_path / name
         trace.write_text(body)
         assert main(["render", TRIANGLE, "--trace", str(trace)]) == 2
-        self.assert_one_error_line(capsys.readouterr())
+        self.assert_one_error_line(capsys.readouterr(), tmp_path)
 
     @pytest.mark.parametrize(
         "body",
@@ -286,22 +296,28 @@ class TestBadInputFiles:
             json.dumps({"map": "base.cmap", "edges": [{"edge": 1.7, "subdivisions": 1}]}),
             json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]}),
             '{"map": "base.cmap", "edges": %s}' % DEEP,
+            '{"map": "base.cmap", "edges": [%s]}' % ("[" * 900 + "]" * 900),
         ],
-        ids=["map-number", "edges-number", "edge-float", "twists-string", "edges-nested-deep"],
+        ids=[
+            "map-number", "edges-number", "edge-float", "twists-string",
+            "edges-nested-deep", "edge-entry-nested-900",
+        ],
     )
     def test_bad_spec(self, tmp_path, body, capsys):
         (tmp_path / "base.cmap").write_text(open(TRIANGLE).read())
         spec = tmp_path / "spec.json"
         spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2
-        self.assert_one_error_line(capsys.readouterr())
+        self.assert_one_error_line(capsys.readouterr(), tmp_path)
 
     @staticmethod
-    def assert_one_error_line(captured):
+    def assert_one_error_line(captured, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        # Echoed input values are clipped; only the file's own path is not.
+        assert len(captured.err.replace(str(tmp_path), "").encode()) < 200
 
 
 class TestUsage:

@@ -164,6 +164,20 @@ class TestTextFormat:
                 "cmap v1\ndarts 2\nalpha 2 x\nsigma 2 1\n",
                 "alpha value 'x' is not an integer",
             ),
+            # Echoed input is clipped to 80 characters of its repr.
+            pytest.param(
+                "x" * 5000 + "\n", "got '" + "x" * 79 + "...", id="long-header"
+            ),
+            pytest.param(
+                "cmap v1\n" + "x" * 5000 + " 1\n",
+                "directive '" + "x" * 79 + "...",
+                id="long-directive",
+            ),
+            pytest.param(
+                "cmap v1\ndarts 2\nalpha 2 " + "x" * 5000 + "\nsigma 2 1\n",
+                "alpha value '" + "x" * 79 + "... is not an integer",
+                id="long-value",
+            ),
         ],
     )
     def test_parse_errors(self, text, fragment):
