@@ -83,7 +83,7 @@ class BandSpec:
         for eid, (d, dp) in enumerate(base.edge_pairs, start=1):
             k = self.subdivisions[eid - 1]
             if k < 0:
-                raise BandSpecError(f"edge {eid}: negative subdivision count {k}")
+                raise BandSpecError(f"edge {eid}: negative subdivision count {clip_repr(k)}")
             ends = (base.vertex_of[d - 1], base.vertex_of[dp - 1])
             if k == 0 and all(base.valence(v) == 4 for v in ends):
                 raise ZeroSubdivision(
@@ -97,7 +97,7 @@ class BandSpec:
                 )
             for t in ts:
                 if t < 0:
-                    raise BandSpecError(f"edge {eid}: negative twist count {t}")
+                    raise BandSpecError(f"edge {eid}: negative twist count {clip_repr(t)}")
 
 
 @dataclass(frozen=True)
@@ -449,12 +449,13 @@ def load_band_spec(path) -> BandSpec:
         try:
             eid = json_typed(entry["edge"], int, "edge")
             k = json_typed(entry.get("subdivisions", 0), int, "subdivisions")
-            twists_in = json_typed(entry.get("twists", [0] * (k + 1)), list, "twists")
+            # A negative count gets no default twists; BandSpec reports it.
+            twists_in = json_typed(entry.get("twists", [0] * max(k + 1, 0)), list, "twists")
             ts = tuple(json_typed(t, int, "twist") for t in twists_in)
         except (KeyError, TypeError) as exc:
             raise BandSpecError(f"bad edge entry {clip_repr(entry)}") from exc
         if not 1 <= eid <= e_count:
-            raise BandSpecError(f"edge id {eid} outside 1..{e_count}")
+            raise BandSpecError(f"edge id {clip_repr(eid)} outside 1..{e_count}")
         if eid in seen:
             raise BandSpecError(f"edge {eid} listed twice")
         seen.add(eid)
@@ -487,7 +488,7 @@ def _slot(entry: dict, key: str, slots: list) -> int:
     """The 1-based id ``entry[key]``, checked to name a free slot of ``slots``."""
     i = json_typed(entry[key], int, key)
     if not 1 <= i <= len(slots):
-        raise ProvenanceError(f"{key} {i} outside 1..{len(slots)}")
+        raise ProvenanceError(f"{key} {clip_repr(i)} outside 1..{len(slots)}")
     if slots[i - 1] is not None:
         raise ProvenanceError(f"{key} {i} listed twice")
     return i

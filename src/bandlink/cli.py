@@ -27,7 +27,7 @@ from .cmap import (
     strands,
     validate,
 )
-from .errors import BandlinkError, BandSpecError, ConstructionStuck
+from .errors import BandlinkError, BandSpecError, ConstructionStuck, clip_repr
 from .hull import hull_constructive_band, hull_exact
 from .percolation import (
     close,
@@ -73,7 +73,7 @@ def _parse_ints(values) -> list[int]:
             try:
                 out.append(int(tok))
             except ValueError:
-                raise BandSpecError(f"vertex id {tok!r} is not an integer")
+                raise BandSpecError(f"vertex id {clip_repr(tok)} is not an integer")
     return out
 
 
@@ -154,7 +154,7 @@ def _run_hull(method, args, m: CombinatorialMap, bd: BandDiagram | None):
                 "the constructive method needs a band spec or --provenance"
             )
         return hull_constructive_band(bd)
-    return hull_exact(m, budget=args.budget, start_size=args.start_size)
+    return hull_exact(m, budget=args.budget)
 
 
 def _cmd_hull(args) -> int:
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("path")
         p.add_argument("--provenance", help="sidecar JSON giving band context")
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--start-size", type=int, default=0)
 
     p = sub.add_parser("hull", help="find a minimum percolating set")
     add_hull_options(p)

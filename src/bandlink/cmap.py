@@ -68,7 +68,7 @@ class CombinatorialMap:
         object.__setattr__(self, "sigma", tuple(self.sigma))
         n = self.dart_count
         if n < 0 or n % 2:
-            raise MalformedPermutation(f"dart count must be even and >= 0, got {n}")
+            raise MalformedPermutation(f"dart count must be even and >= 0, got {clip_repr(n)}")
         for name, images in (("alpha", self.alpha), ("sigma", self.sigma)):
             if len(images) != n:
                 raise MalformedPermutation(
@@ -77,7 +77,7 @@ class CombinatorialMap:
             hit = [False] * n
             for d in images:
                 if not isinstance(d, int) or not 1 <= d <= n:
-                    raise MalformedPermutation(f"{name} image {d!r} outside 1..{n}")
+                    raise MalformedPermutation(f"{name} image {clip_repr(d)} outside 1..{n}")
                 if hit[d - 1]:
                     raise MalformedPermutation(f"{name} maps two darts to {d}")
                 hit[d - 1] = True
@@ -88,7 +88,7 @@ class CombinatorialMap:
                     f"alpha must pair dart {d} with a distinct partner"
                 )
         if self.declared_genus < 0:
-            raise GenusMismatch(f"declared genus {self.declared_genus} is negative")
+            raise GenusMismatch(f"declared genus {clip_repr(self.declared_genus)} is negative")
 
     @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -246,7 +246,7 @@ def validate(
         if derived != m.declared_genus:
             chi = m.vertex_count - m.edge_count + len(m.faces)
             raise GenusMismatch(
-                f"declared genus {m.declared_genus} but V-E+F = {chi} "
+                f"declared genus {clip_repr(m.declared_genus)} but V-E+F = {chi} "
                 f"gives genus {derived}"
             )
         return
@@ -341,7 +341,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
         raise CmapFormatError(f"line {lineno}: darts takes one value")
     n = as_int("darts", args[0])
     if n < 0 or n % 2:
-        raise CmapFormatError(f"line {lineno}: dart count {n} must be even and >= 0")
+        raise CmapFormatError(f"line {lineno}: dart count {clip_repr(n)} must be even and >= 0")
 
     genus = 0
     if "genus" in fields:
@@ -350,7 +350,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
             raise CmapFormatError(f"line {lineno}: genus takes one value")
         genus = as_int("genus", args[0])
         if genus < 0:
-            raise CmapFormatError(f"line {lineno}: genus {genus} is negative")
+            raise CmapFormatError(f"line {lineno}: genus {clip_repr(genus)} is negative")
 
     perms = {}
     for key in ("alpha", "sigma"):
@@ -363,7 +363,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
         for img in images:
             if not 1 <= img <= n:
                 raise CmapFormatError(
-                    f"line {lineno}: {key} image {img} outside 1..{n}"
+                    f"line {lineno}: {key} image {clip_repr(img)} outside 1..{n}"
                 )
         perms[key] = tuple(images)
     return CombinatorialMap(n, perms["alpha"], perms["sigma"], genus)

@@ -5,10 +5,9 @@ Two strategies, both on the closure engine of :mod:`bandlink.percolation`.
 so the first hit is the canonical minimum witness; subsets that share a prefix
 share its closure.  With prefix P, it skips candidate c and every extension:
 
-- when the closure of P already colors c, at any size after the first one
-  searched.  A set holding P and c has the closure of the same set without c,
-  which is one smaller, and that size failed.  The first size is searched
-  without this rule, since ``start_size`` may overshoot the minimum.
+- when the closure of P already colors c.  A set holding P and c has the
+  closure of the same set without c, which is one smaller, and that size
+  failed.
 - when an earlier sibling c' < c colored c beyond the closure of P.  Then
   cl(P + c) lies inside cl(P + c'), so P + c + T percolates only if the
   lexicographically earlier P + c' + T does, and that set came first.
@@ -25,16 +24,14 @@ searches, so it scales, but it only applies to band diagrams.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .band import BandDiagram
 from .cmap import CombinatorialMap, faces
-from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
+from .errors import BudgetExceeded, ConstructionStuck
 from .percolation import Closure, check_vertices
 
 DEFAULT_BUDGET = 10**8
-BUDGET_ENV = "BANDLINK_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -55,18 +52,6 @@ class HullResult:
     log: tuple[str, ...] = ()
 
 
-def _budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise BandlinkError(f"{BUDGET_ENV}={env!r} is not an integer") from None
-
-
 def verify_witness(m: CombinatorialMap, witness) -> bool:
     """Check on a fresh closure that a vertex set of ids in 1..V percolates."""
     engine = Closure(m.vertex_count, faces(m))
@@ -74,31 +59,20 @@ def verify_witness(m: CombinatorialMap, witness) -> bool:
     return len(engine.order) == m.vertex_count
 
 
-def hull_exact(
-    m: CombinatorialMap,
-    budget: int | None = None,
-    start_size: int = 0,
-) -> HullResult:
+def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
     """Find a minimum percolating set by exhaustive ascending search.
 
     The witness is the lexicographically smallest minimum set, the one the
     unpruned search finds; the module docstring gives the two skip rules and
     why they keep it.  The budget is measured in face visits of the closure
     engine and checked after each full subset; skipped subsets cost none.
-    ``start_size`` skips smaller subsets: it is an assertion that they all
-    fail, so only pass it when that is already known.  The first size
-    searched is never pruned by the closure rule, so an overshooting
-    ``start_size`` still yields the lexicographically first set of that size.
     """
     nv = m.vertex_count
-    if not 0 <= start_size <= nv:
-        raise BandlinkError(f"start size {start_size} outside 0..{nv}")
-    limit = _budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
     engine = Closure(nv, faces(m))
     engine.add(())
     colored, order = engine.colored, engine.order
-    completed_size = start_size - 1 if start_size > 0 else None
-    for size in range(start_size, nv + 1):
+    for size in range(nv + 1):
         # Lexicographic depth-first walk; backtracking undoes to the mark.
         # covered[d] holds the vertices the earlier siblings at depth d
         # colored beyond the prefix's closure.
@@ -114,14 +88,14 @@ def hull_exact(
                         f"hull search spent {engine.visits} face visits "
                         f"(budget {limit})",
                         examined=engine.visits,
-                        best_known=completed_size,
+                        best_known=size - 1 if size else None,
                     )
                 if len(order) == nv:
                     return HullResult(
                         size, tuple(prefix), "exact", True, engine.visits
                     )
             if depth < size and nxt <= nv - size + depth + 1:
-                if nxt in covered[depth] or (size > start_size and colored[nxt]):
+                if colored[nxt] or nxt in covered[depth]:
                     nxt += 1
                     continue
                 mark = len(order)
@@ -136,7 +110,6 @@ def hull_exact(
                 nxt = prefix.pop() + 1
             else:
                 break
-        completed_size = size
     raise RuntimeError("the full vertex set failed to percolate")
 
 

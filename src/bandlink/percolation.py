@@ -67,7 +67,7 @@ def check_vertices(vertices: Iterable[int], vertex_count: int) -> frozenset[int]
     out = frozenset(vertices)
     for v in out:
         if not 1 <= v <= vertex_count:
-            raise UnknownVertex(f"vertex {v} outside 1..{vertex_count}")
+            raise UnknownVertex(f"vertex {clip_repr(v)} outside 1..{vertex_count}")
     return out
 
 

@@ -15,6 +15,8 @@ from bandlink.percolation import Closure
 from bandlink.render import RADIUS, ROUNDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# An integer whose repr alone is far longer than an error line may be.
+HUGE = int("9" * 4000)
 
 
 def circle_map(n: int) -> CombinatorialMap:
@@ -178,20 +180,18 @@ def reference_hull(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set failed to percolate")
 
 
-def reference_exact(
-    m: CombinatorialMap, start_size: int = 0
-) -> tuple[int, tuple[int, ...], int]:
+def reference_exact(m: CombinatorialMap) -> tuple[int, tuple[int, ...], int]:
     """(size, witness, face visits) of the unpruned lexicographic search.
 
     The prefix-sharing depth-first walk ``hull_exact`` ran before it skipped
-    candidates by closure: every subset of each size from ``start_size`` up
-    is closed, in lexicographic order.  Kept as the differential oracle for
-    ``start_size`` and as the visit count the pruning is measured against.
+    candidates by closure: every subset of each size is closed, in
+    lexicographic order.  Kept as the differential oracle for the skip rules
+    and as the visit count the pruning is measured against.
     """
     nv = m.vertex_count
     engine = Closure(nv, faces(m))
     engine.add(())
-    for size in range(start_size, nv + 1):
+    for size in range(nv + 1):
         prefix: list[int] = []
         marks: list[int] = []
         nxt = 1

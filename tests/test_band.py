@@ -25,7 +25,7 @@ from bandlink.errors import (
     ProvenanceError,
     ZeroSubdivision,
 )
-from helpers import FIXTURES, chain_spec, circle_map, random_spec
+from helpers import FIXTURES, HUGE, chain_spec, circle_map, random_spec
 
 
 class TestCheckSpec:
@@ -311,10 +311,12 @@ BAD_SIDECARS = [
     ("vertex-zero", _set(("crossing_kind", 0, "vertex"), 0), "vertex 0 outside 1..6"),
     ("vertex-negative", _set(("crossing_kind", 0, "vertex"), -1), "vertex -1 outside"),
     ("vertex-beyond", _set(("crossing_kind", 0, "vertex"), 7), "vertex 7 outside"),
+    ("vertex-huge", _set(("crossing_kind", 0, "vertex"), HUGE), "vertex " + "9" * 80 + "..."),
     ("vertex-repeated", _set(("crossing_kind", 1, "vertex"), 1), "vertex 1 listed twice"),
     ("face-zero", _set(("face_provenance", 0, "face"), 0), "face 0 outside 1..8"),
     ("face-negative", _set(("face_provenance", 0, "face"), -1), "face -1 outside"),
     ("face-beyond", _set(("face_provenance", 0, "face"), 9), "face 9 outside"),
+    ("face-huge", _set(("face_provenance", 0, "face"), HUGE), "face " + "9" * 80 + "..."),
     ("face-repeated", _set(("face_provenance", 1, "face"), 1), "face 1 listed twice"),
     ("kind-bogus", _set(("crossing_kind", 0, "kind"), "bogus"), "unknown kind 'bogus'"),
     ("face-kind-bogus", _set(("face_provenance", 0, "kind"), "bogus"), "unknown kind 'bogus'"),

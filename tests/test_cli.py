@@ -7,7 +7,7 @@ import pytest
 
 from bandlink import load_cmap, parse_trace, validate
 from bandlink.cli import main
-from helpers import FIXTURES
+from helpers import FIXTURES, HUGE
 
 TRIANGLE = str(FIXTURES / "triangle.cmap")
 CURL = str(FIXTURES / "curl.cmap")
@@ -40,6 +40,19 @@ class TestValidate:
     def test_torus(self, capsys):
         assert main(["validate", TORUS]) == 0
         assert capsys.readouterr().out == "V=1 E=2 F=1 g=1\n"
+
+    def test_disconnected_band_spec(self, tmp_path, capsys):
+        (tmp_path / "two.cmap").write_text(
+            "cmap v1\ngenus 0\ndarts 4\nalpha 2 1 4 3\nsigma 2 1 4 3\n"
+        )
+        spec = tmp_path / "two.json"
+        spec.write_text('{"map": "two.cmap"}')
+        assert main(["validate", str(spec), "--genera", "0,0"]) == 0
+        assert capsys.readouterr().out == "V=4 E=8 F=8 g=0 components=2 n=2\n"
+        assert main(["validate", str(spec), "--genera", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2 components but 1 genera supplied\n"
 
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such.cmap"]) == 2
@@ -81,6 +94,14 @@ class TestFacesAndStrands:
     def test_strands(self, capsys):
         assert main(["strands", CURL]) == 0
         assert capsys.readouterr().out == "strand 1: 1 2 4 3\n"
+
+    def test_strands_need_valence_two_or_four(self, tmp_path, capsys):
+        theta = tmp_path / "theta.cmap"
+        theta.write_text("cmap v1\ndarts 6\nalpha 2 1 4 3 6 5\nsigma 3 6 5 2 1 4\n")
+        assert main(["strands", str(theta)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 2 has valence 3; strands need 2 or 4\n"
 
 
 class TestBuildBand:
@@ -157,20 +178,19 @@ class TestHull:
         assert main(["hull", path, "--budget", "3"]) == 4
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["hull", "report"])
-    @pytest.mark.parametrize("size", ["99", "-3"])
-    def test_start_size_out_of_range(self, built, command, size, capsys):
-        path, _ = built
-        assert main([command, path, "--start-size", size]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: start size") and err.count("\n") == 1
-
-    def test_budget_env_must_be_an_integer(self, built, monkeypatch, capsys):
-        path, _ = built
-        monkeypatch.setenv("BANDLINK_BUDGET", "abc")
-        assert main(["hull", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: BANDLINK_BUDGET") and err.count("\n") == 1
+    def test_stuck_walk_prints_its_log(self, tmp_path, capsys):
+        (tmp_path / "torus.cmap").write_text(open(TORUS).read())
+        spec = tmp_path / "torus.json"
+        spec.write_text(json.dumps({"map": "torus.cmap", "edges": [
+            {"edge": 1, "subdivisions": 1}, {"edge": 2, "subdivisions": 1},
+        ]}))
+        assert main(["hull", str(spec), "--constructive"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, *log = captured.err.splitlines()
+        assert first == "error: every start face led to a dead end"
+        assert log and all(line.startswith("  ") for line in log)
+        assert any("dead end" in line for line in log)
 
     def test_flags_are_exclusive(self, built, capsys):
         path, _ = built
@@ -232,6 +252,11 @@ class TestRender:
         assert body.count("#f4a261") == 2
         assert "#c0392b" in body
 
+    def test_manual_tints_a_fresh_run(self, capsys):
+        assert main(["render", TRIANGLE, "--manual", "1,3"]) == 0
+        svg = capsys.readouterr().out
+        assert svg.count("#f4a261") == 2 and "#ffffff" not in svg
+
     def test_trace_vertex_out_of_range(self, built, tmp_path, capsys):
         path, _ = built
         trace = tmp_path / "t.txt"
@@ -279,6 +304,8 @@ class TestBadInputFiles:
                 ("manual-nested-deep.json", '{"manual": %s}' % DEEP),
                 ("manual-long-string.json", json.dumps({"manual": [1, 2, "x" * 5000]})),
                 ("step-long-line.txt", "manual: 1\nstep " + "x" * 5000 + "\n"),
+                ("manual-huge-id.txt", f"manual: 1 {HUGE}\n"),
+                ("manual-huge-id.json", f'{{"manual": [1, {HUGE}]}}'),
             ]
         ],
     )
@@ -297,10 +324,14 @@ class TestBadInputFiles:
             json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "twists": "0"}]}),
             '{"map": "base.cmap", "edges": %s}' % DEEP,
             '{"map": "base.cmap", "edges": [%s]}' % ("[" * 900 + "]" * 900),
+            '{"map": "base.cmap", "edges": [{"edge": %s}]}' % HUGE,
+            '{"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": -%s}]}' % HUGE,
+            '{"map": "base.cmap", "edges": [{"edge": 1, "twists": [-%s]}]}' % HUGE,
         ],
         ids=[
             "map-number", "edges-number", "edge-float", "twists-string",
-            "edges-nested-deep", "edge-entry-nested-900",
+            "edges-nested-deep", "edge-entry-nested-900", "edge-huge",
+            "subdivisions-huge", "twist-huge",
         ],
     )
     def test_bad_spec(self, tmp_path, body, capsys):
@@ -308,6 +339,14 @@ class TestBadInputFiles:
         spec = tmp_path / "spec.json"
         spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2
+        self.assert_one_error_line(capsys.readouterr(), tmp_path)
+
+    @pytest.mark.parametrize("command", ["percolate", "render"])
+    @pytest.mark.parametrize(
+        "manual", [f"1,{HUGE}", "1," + "x" * 3000], ids=["huge-id", "long-word"]
+    )
+    def test_bad_manual(self, tmp_path, command, manual, capsys):
+        assert main([command, TRIANGLE, "--manual", manual]) == 2
         self.assert_one_error_line(capsys.readouterr(), tmp_path)
 
     @staticmethod

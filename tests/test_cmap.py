@@ -13,7 +13,7 @@ from bandlink import (
 )
 from bandlink.cmap import cycles_of_images
 from bandlink.errors import CmapFormatError, GenusMismatch, MalformedPermutation
-from helpers import random_map, relabel
+from helpers import HUGE, random_map, relabel
 
 
 class TestPermutationHelpers:
@@ -44,6 +44,12 @@ class TestConstruction:
     def test_alpha_must_move_every_dart(self):
         with pytest.raises(MalformedPermutation):
             CombinatorialMap(4, (1, 2, 4, 3), (2, 3, 4, 1), 0)
+
+    @pytest.mark.parametrize("image", [HUGE, "x" * 3000], ids=["huge", "long"])
+    def test_echoed_image_is_clipped(self, image):
+        with pytest.raises(MalformedPermutation) as err:
+            CombinatorialMap(2, (2, image), (2, 1), 0)
+        assert len(str(err.value)) < 200
 
 
 class TestTriangle:
@@ -92,6 +98,9 @@ class TestTorus:
         with pytest.raises(GenusMismatch, match="gives genus 1"):
             validate(flat)
         assert flat.component_genera == (1,)
+        huge = CombinatorialMap(torus.dart_count, torus.alpha, torus.sigma, HUGE)
+        with pytest.raises(GenusMismatch, match=r"declared genus 9{80}\.\.\. but"):
+            validate(huge)
 
     def test_single_face(self, torus):
         assert len(faces(torus)) == 1
@@ -120,6 +129,8 @@ class TestDisconnected:
         validate(mixed, component_genera=[0, 1])
         with pytest.raises(GenusMismatch):
             validate(mixed, component_genera=[1, 0])
+        with pytest.raises(GenusMismatch, match="2 components but 1 genera"):
+            validate(mixed, component_genera=[0])
 
 
 class TestTextFormat:
@@ -177,6 +188,21 @@ class TestTextFormat:
                 "cmap v1\ndarts 2\nalpha 2 " + "x" * 5000 + "\nsigma 2 1\n",
                 "alpha value '" + "x" * 79 + "... is not an integer",
                 id="long-value",
+            ),
+            pytest.param(
+                "cmap v1\ndarts " + "9" * 4000 + "\nalpha\nsigma\n",
+                "dart count " + "9" * 80 + "... must be even",
+                id="huge-darts",
+            ),
+            pytest.param(
+                "cmap v1\ngenus -" + "9" * 4000 + "\ndarts 2\nalpha 2 1\nsigma 2 1\n",
+                "genus -" + "9" * 79 + "... is negative",
+                id="huge-genus",
+            ),
+            pytest.param(
+                "cmap v1\ndarts 2\nalpha 2 " + "9" * 4000 + "\nsigma 2 1\n",
+                "alpha image " + "9" * 80 + "... outside 1..2",
+                id="huge-image",
             ),
         ],
     )

@@ -1,5 +1,6 @@
 """The README's examples run as written, and the public names match the docs."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -7,10 +8,11 @@ import shlex
 import shutil
 
 import bandlink
-from bandlink.cli import main
+from bandlink.cli import build_parser, main
 from helpers import FIXTURES
 
 README = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+SOURCES = FIXTURES.parent / "src" / "bandlink"
 
 PUBLIC_NAMES = [
     # README library section
@@ -74,3 +76,17 @@ def test_cli_walkthrough(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().out.splitlines() == shown, argv
     assert (tmp_path / "dl.svg").read_text().startswith("<svg")
+
+
+def test_named_options_and_variables_exist():
+    # The Install section names pip's options, not ours.
+    head, rest = README.split("\n## Install\n", 1)
+    text = head + rest.split("\n## ", 1)[1]
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {o for p in commands.choices.values() for o in p._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert named and not named - options
+    code = "".join(p.read_text(encoding="utf-8") for p in SOURCES.glob("*.py"))
+    assert not {v for v in re.findall(r"BANDLINK_\w+", README) if v not in code}
