@@ -37,6 +37,9 @@ KIND_CLASP = "clasp"
 KIND_HASH = "hash"
 KIND_TWIST = "twist"
 KINDS = (KIND_CLASP, KIND_HASH, KIND_TWIST)
+# The most crossings a spec may ask for, checked before anything is built;
+# far above the 3,840 of a 16x16 medial band.
+MAX_CROSSINGS = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class BandSpec:
     ``subdivisions[e]`` counts the 2-valent vertices inserted into canonical
     edge e+1 of the base; ``twists[e]`` gives one twist count per resulting
     segment (so it has subdivisions[e] + 1 entries).  Construction checks
-    the spec and its base once, so every BandSpec is buildable.
+    the spec and its base once, so every BandSpec is buildable, with at
+    most ``MAX_CROSSINGS`` crossings.
     """
 
     base: CombinatorialMap
@@ -72,7 +76,7 @@ class BandSpec:
         object.__setattr__(self, "twists", tuple(tuple(t) for t in self.twists))
         base = self.base
         validate(base)
-        _check_valences(base)
+        two, four = _check_valences(base)
         e_count = base.edge_count
         if len(self.subdivisions) != e_count:
             raise BandSpecError(
@@ -93,11 +97,15 @@ class BandSpec:
             ts = self.twists[eid - 1]
             if len(ts) != k + 1:
                 raise BandSpecError(
-                    f"edge {eid}: {len(ts)} twist counts for {k + 1} segments"
+                    f"edge {eid}: {len(ts)} twist counts for {clip_repr(k + 1)} segments"
                 )
             for t in ts:
                 if t < 0:
                     raise BandSpecError(f"edge {eid}: negative twist count {clip_repr(t)}")
+        # A clasp (2 crossings) per 2-valent vertex after subdivision, a hash
+        # (4) per 4-valent vertex, and the twists.
+        clasps = len(two) + sum(self.subdivisions)
+        _check_crossings(2 * clasps + 4 * len(four) + sum(map(sum, self.twists)))
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,14 @@ class BandDiagram:
         return any(
             cr.kind == KIND_CLASP and a == b
             for cr, (a, b) in zip(self.crossing_kind, self.circles_of_vertex)
+        )
+
+
+def _check_crossings(total: int) -> None:
+    if total > MAX_CROSSINGS:
+        raise BandSpecError(
+            f"the spec asks for {clip_repr(total)} crossings; at most "
+            f"{MAX_CROSSINGS} are built"
         )
 
 
@@ -445,11 +461,15 @@ def load_band_spec(path) -> BandSpec:
     subdivisions = [0] * e_count
     twists: list[tuple[int, ...]] = [(0,)] * e_count
     seen = set()
+    crossings = 0  # asked for by the subdivisions read so far
     for entry in edges:
         try:
             eid = json_typed(entry["edge"], int, "edge")
             k = json_typed(entry.get("subdivisions", 0), int, "subdivisions")
-            # A negative count gets no default twists; BandSpec reports it.
+            # Capped before the default twists are allocated.  A negative
+            # count gets no default twists; BandSpec reports it.
+            crossings += 2 * max(k, 0)
+            _check_crossings(crossings)
             twists_in = json_typed(entry.get("twists", [0] * max(k + 1, 0)), list, "twists")
             ts = tuple(json_typed(t, int, "twist") for t in twists_in)
         except (KeyError, TypeError) as exc:
@@ -497,10 +517,16 @@ def _slot(entry: dict, key: str, slots: list) -> int:
 def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     """Rebuild a BandDiagram from a map plus its provenance sidecar.
 
-    Crossing and face entries must cover each vertex and face id once, and
-    the recorded ``n``, ``degenerate`` and ``circle_of_strand`` must equal
-    the values derived from the map.
+    The map must be 4-regular, as every built diagram is.  Crossing and face
+    entries must cover each vertex and face id once, and the recorded ``n``,
+    ``degenerate`` and ``circle_of_strand`` must equal the values derived
+    from the map.
     """
+    for vid, cyc in enumerate(m.vertex_cycles, start=1):
+        if len(cyc) != 4:
+            raise ProvenanceError(
+                f"vertex {vid} has valence {len(cyc)}; a band diagram is 4-regular"
+            )
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

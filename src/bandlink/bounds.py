@@ -1,4 +1,4 @@
-"""Turn a hull into two-sided bounds and, when they meet, conclusions.
+"""Bounds from the hull of a band diagram and, when they meet, conclusions.
 
 For a band diagram with n circles the percolation hull can never beat n - 1,
 a fact about the underlying surface geometry that this package uses but does
@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .band import BandDiagram
-from .cmap import CombinatorialMap, strands
 from .errors import UnverifiedWitness
 from .hull import HullResult, verify_witness
 
@@ -35,28 +34,18 @@ class BoundsReport:
         return self.tunnel_number is not None
 
 
-def report(subject: BandDiagram | CombinatorialMap, hull: HullResult) -> BoundsReport:
-    """Combine a diagram and a hull result into a bounds report.
+def report(bd: BandDiagram, hull: HullResult) -> BoundsReport:
+    """Combine a band diagram and a hull result into a bounds report.
 
-    The witness is re-verified here regardless of what the producer claims;
-    an unverifiable witness raises rather than silently weakening the upper
-    bound.
+    The witness is verified here on a fresh closure of the diagram, whatever
+    produced it; a witness that does not percolate raises rather than
+    silently weakening the upper bound.
     """
-    if isinstance(subject, BandDiagram):
-        m = subject.diagram
-        n = subject.n
-    else:
-        m = subject
-        n = len(strands(m))
-    if not hull.verified:
-        raise UnverifiedWitness(
-            f"hull result from method {hull.method!r} was never verified"
-        )
-    if not verify_witness(m, hull.witness):
+    if not verify_witness(bd.diagram, hull.witness):
         raise UnverifiedWitness(
             "witness " + " ".join(str(v) for v in hull.witness) + " does not percolate"
         )
-    lower = max(n - 1, 0)
+    lower = max(bd.n - 1, 0)
     upper = hull.size
     notes = [
         f"lower bound {lower} is the circle count minus one, a property of "
@@ -70,12 +59,12 @@ def report(subject: BandDiagram | CombinatorialMap, hull: HullResult) -> BoundsR
             "not a band diagram of the expected kind; no conclusion"
         )
     elif upper == lower:
-        t, g, r = lower, n, n
+        t, g, r = lower, bd.n, bd.n
         notes.append("bounds meet; invariants are pinned")
     else:
         notes.append(f"gap of {upper - lower}; no conclusion")
     return BoundsReport(
-        n=n,
+        n=bd.n,
         lower=lower,
         upper=upper,
         witness=tuple(hull.witness),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 
 from .band import (
     BandDiagram,
@@ -20,22 +21,21 @@ from .band import (
 )
 from .bounds import format_report, report, report_to_json
 from .cmap import (
-    CombinatorialMap,
     faces,
     format_cmap,
     load_cmap,
     strands,
     validate,
 )
-from .errors import BandlinkError, BandSpecError, ConstructionStuck, clip_repr
-from .hull import hull_constructive_band, hull_exact
-from .percolation import (
-    close,
-    coloring_from_trace,
-    format_trace,
-    parse_trace,
-    trace_to_json,
+from .errors import (
+    BandlinkError,
+    BandSpecError,
+    CmapFormatError,
+    ConstructionStuck,
+    clip_repr,
 )
+from .hull import hull_constructive_band, hull_exact
+from .percolation import close, format_trace, parse_trace, trace_to_json
 from .render import render_svg
 
 
@@ -147,30 +147,30 @@ def _cmd_percolate(args) -> int:
     return 0 if full else 3
 
 
-def _run_hull(method, args, m: CombinatorialMap, bd: BandDiagram | None):
-    if method == "constructive":
-        if bd is None:
-            raise BandSpecError(
-                "the constructive method needs a band spec or --provenance"
-            )
-        return hull_constructive_band(bd)
-    return hull_exact(m, budget=args.budget)
+def _band(bd: BandDiagram | None, what: str) -> BandDiagram:
+    if bd is None:
+        raise BandSpecError(f"{what} needs a band spec or --provenance")
+    return bd
 
 
 def _cmd_hull(args) -> int:
     m, bd = _load(args.path, args.provenance)
-    method = "constructive" if args.constructive else "exact"
-    result = _run_hull(method, args, m, bd)
+    if args.constructive:
+        result = hull_constructive_band(_band(bd, "hull --constructive"))
+    else:
+        result = hull_exact(m, budget=args.budget)
     witness = " ".join(str(v) for v in result.witness) if result.witness else "-"
     print(f"h={result.size} method={result.method} witness={witness}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    m, bd = _load(args.path, args.provenance)
-    method = "exact" if args.exact or bd is None else "constructive"
-    result = _run_hull(method, args, m, bd)
-    rep = report(bd if bd is not None else m, result)
+    bd = _band(_load(args.path, args.provenance)[1], "report")
+    if args.exact:
+        result = hull_exact(bd.diagram, budget=args.budget)
+    else:
+        result = hull_constructive_band(bd)
+    rep = report(bd, result)
     sys.stdout.write(report_to_json(rep) if args.json else format_report(rep))
     return 0 if rep.conclusive else 3
 
@@ -180,7 +180,15 @@ def _cmd_render(args) -> int:
     coloring = None
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as fh:
-            coloring = coloring_from_trace(parse_trace(fh.read()), m.vertex_count)
+            recorded = parse_trace(fh.read())
+        coloring, trace = close(m, faces(m), recorded.manual)
+        got, want = format_trace(recorded).splitlines(), format_trace(trace).splitlines()
+        for line, expected in zip_longest(got, want, fillvalue="end of trace"):
+            if line != expected:
+                raise CmapFormatError(
+                    f"trace has {clip_repr(line)} where the reclosure of its "
+                    f"manual set has {clip_repr(expected)}"
+                )
     elif args.manual is not None:
         coloring, _ = close(m, faces(m), _parse_ints(args.manual))
     svg = render_svg(m, coloring=coloring, band=bd)
@@ -233,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="find a minimum percolating set")
     add_hull_options(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exhaustive search (default)")
-    mode.add_argument("--constructive", action="store_true", help="band chain walk")
+    p.add_argument("--constructive", action="store_true", help="band chain walk")
     p.set_defaults(func=_cmd_hull)
 
     p = sub.add_parser("report", help="bounds and conclusions from a hull")
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact",
         action="store_true",
-        help="force the exhaustive search (default when no band context)",
+        help="force the exhaustive search",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_report)
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a genus zero map as SVG")
     p.add_argument("path")
     p.add_argument("--provenance", help="sidecar JSON to mark crossing kinds")
-    p.add_argument("--trace", help="tint vertices from a saved trace")
+    p.add_argument("--trace", help="tint from a saved trace, checked by reclosing it")
     p.add_argument("--manual", action="append", help="tint a fresh percolation run")
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_render)

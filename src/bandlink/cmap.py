@@ -263,9 +263,8 @@ def faces(m: CombinatorialMap) -> tuple[Face, ...]:
 
 
 def derived_genus(m: CombinatorialMap) -> int:
-    """Genus from Euler's formula; the map must be connected."""
-    chi = m.vertex_count - m.edge_count + len(m.faces)
-    return (2 - chi) // 2
+    """The genera of the map's components by Euler's formula, summed."""
+    return sum(m.component_genera)
 
 
 def _opposite(m: CombinatorialMap, d: int) -> int:

@@ -53,8 +53,7 @@ class NonPlanar(BandlinkError):
 
 
 class UnverifiedWitness(BandlinkError):
-    """A bounds report was requested from a hull result that was never
-    verified to percolate."""
+    """A bounds report was requested for a witness that does not percolate."""
 
 
 class BudgetExceeded(BandlinkError):

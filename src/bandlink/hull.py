@@ -36,20 +36,21 @@ DEFAULT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class HullResult:
-    """A witness set together with how it was found.
+    """A witness set and how it was found; ``report`` re-verifies the witness.
 
-    ``verified`` records that the producer checked the witness percolates;
     ``examined`` counts the closure engine's face visits spent by the
     exhaustive search (0 for the constructive route); subsets it skips cost
     none.  ``log`` narrates constructive decisions.
     """
 
-    size: int
     witness: tuple[int, ...]
     method: str
-    verified: bool
     examined: int = 0
     log: tuple[str, ...] = ()
+
+    @property
+    def size(self) -> int:
+        return len(self.witness)
 
 
 def verify_witness(m: CombinatorialMap, witness) -> bool:
@@ -91,9 +92,7 @@ def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
                         best_known=size - 1 if size else None,
                     )
                 if len(order) == nv:
-                    return HullResult(
-                        size, tuple(prefix), "exact", True, engine.visits
-                    )
+                    return HullResult(tuple(prefix), "exact", engine.visits)
             if depth < size and nxt <= nv - size + depth + 1:
                 if colored[nxt] or nxt in covered[depth]:
                     nxt += 1
@@ -146,7 +145,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             "the chain walk needs a connected diagram", ("diagram is disconnected",)
         )
     if m.vertex_count == 0:
-        return HullResult(0, (), "constructive", True)
+        return HullResult((), "constructive")
 
     faces_list = faces(m)
     base_faces = [f for f in faces_list if bd.face_provenance[f.id - 1] is not None]
@@ -239,14 +238,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     for f0 in ordered:
         manual = attempt(f0, log)
         if manual is not None:
-            return HullResult(
-                len(manual),
-                tuple(sorted(manual)),
-                "constructive",
-                True,
-                0,
-                tuple(log),
-            )
+            return HullResult(tuple(sorted(manual)), "constructive", 0, tuple(log))
     raise ConstructionStuck(
         "every start face led to a dead end", tuple(log)
     )

@@ -184,14 +184,6 @@ def trace_to_json(trace: PercolationTrace) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def coloring_from_trace(trace: PercolationTrace, vertex_count: int) -> Coloring:
-    """Rebuild the coloring a trace describes."""
-    manual = check_vertices(trace.manual, vertex_count)
-    check_vertices((e.vertex for e in trace.entries), vertex_count)
-    auto = {e.vertex: e.step for e in trace.entries}
-    return Coloring(manual, auto, vertex_count)
-
-
 def parse_trace(text: str) -> PercolationTrace:
     """Read either trace flavour (text or JSON)."""
     body = text.strip()

@@ -5,6 +5,7 @@ Every generator takes an explicit rng; nothing here touches global state.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 from pathlib import Path
@@ -17,6 +18,32 @@ from bandlink.render import RADIUS, ROUNDS
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # An integer whose repr alone is far longer than an error line may be.
 HUGE = int("9" * 4000)
+
+
+def sidecar(n: int, degenerate: bool, crossings, face_kinds) -> str:
+    """A hand-written provenance sidecar: ``crossings`` holds one
+    (kind, owner, slot) per vertex and ``face_kinds`` one kind per face."""
+    return json.dumps({
+        "format": "bandlink-provenance v1",
+        "n": n,
+        "degenerate": degenerate,
+        "crossing_kind": [
+            {"vertex": v, "kind": kind, "owner": owner, "slot": slot}
+            for v, (kind, owner, slot) in enumerate(crossings, start=1)
+        ],
+        "circle_of_strand": list(range(1, n + 1)),
+        "face_provenance": [
+            {"face": f, "kind": kind} for f, kind in enumerate(face_kinds, start=1)
+        ],
+    })
+
+
+# fixtures/torus.cmap read as one hash: 4-valent, so a sidecar may describe it,
+# and its two strands put the trusted lower bound above its hull of 0.
+TORUS_SIDECAR = sidecar(2, False, [("hash", 1, 1)], ["internal"])
+# fixtures/loop1.cmap read as one clasp: its vertex is 2-valent, so no band
+# diagram has this shape.
+LOOP1_SIDECAR = sidecar(1, True, [("clasp", 1, 1)], ["internal", "internal"])
 
 
 def circle_map(n: int) -> CombinatorialMap:

@@ -17,7 +17,7 @@ from bandlink import (
     strands,
     validate,
 )
-from bandlink.band import _subdivide
+from bandlink.band import MAX_CROSSINGS, _subdivide
 from bandlink.cmap import cycles_of_images
 from bandlink.errors import (
     BadValence,
@@ -25,7 +25,15 @@ from bandlink.errors import (
     ProvenanceError,
     ZeroSubdivision,
 )
-from helpers import FIXTURES, HUGE, chain_spec, circle_map, random_spec
+from helpers import (
+    FIXTURES,
+    HUGE,
+    LOOP1_SIDECAR,
+    TORUS_SIDECAR,
+    chain_spec,
+    circle_map,
+    random_spec,
+)
 
 
 class TestCheckSpec:
@@ -58,6 +66,16 @@ class TestCheckSpec:
             BandSpec(triangle, (-1, 0, 0), ((0,), (0,), (0,)))
         with pytest.raises(BandSpecError):
             BandSpec(triangle, (0, 0, 0), ((-1,), (0,), (0,)))
+
+    def test_crossings_are_capped(self, triangle, curl):
+        # Checked on the counts alone; no spec is built here.  The triangle's
+        # clasps are 6 crossings; the curl's hash is 4, plus 2 per subdivision.
+        BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 6,), (0,), (0,)))
+        with pytest.raises(BandSpecError, match=f"asks for {MAX_CROSSINGS + 1} crossings"):
+            BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 5,), (0,), (0,)))
+        k = MAX_CROSSINGS // 2
+        with pytest.raises(BandSpecError, match=f"asks for {2 * k + 6} crossings"):
+            BandSpec(curl, (k, 1), ((0,) * (k + 1), (0, 0)))
 
 
 class TestSubdivide:
@@ -426,3 +444,9 @@ class TestProvenanceSidecar:
         text = provenance_to_json(chain3_band)
         with pytest.raises(ProvenanceError):
             band_diagram_from_provenance(curl_band.diagram, text)
+
+    def test_map_must_be_4_regular(self, loop1, torus):
+        with pytest.raises(ProvenanceError, match="vertex 1 has valence 2"):
+            band_diagram_from_provenance(loop1, LOOP1_SIDECAR)
+        bd = band_diagram_from_provenance(torus, TORUS_SIDECAR)
+        assert (bd.n, bd.degenerate) == (2, False)

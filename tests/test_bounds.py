@@ -2,10 +2,17 @@ import json
 
 import pytest
 
-from bandlink import format_report, hull_constructive_band, hull_exact, report
+from bandlink import (
+    band_diagram_from_provenance,
+    format_report,
+    hull_constructive_band,
+    hull_exact,
+    report,
+)
 from bandlink.bounds import report_to_json
 from bandlink.errors import UnverifiedWitness
 from bandlink.hull import HullResult
+from helpers import TORUS_SIDECAR
 
 
 class TestConclusiveReports:
@@ -34,15 +41,9 @@ class TestConclusiveReports:
 
 
 class TestInconclusiveReports:
-    def test_plain_map_gets_an_interval(self, triangle):
-        rep = report(triangle, hull_exact(triangle))
-        assert not rep.conclusive
-        assert (rep.n, rep.lower, rep.upper) == (1, 0, 2)
-        assert rep.tunnel_number is None
-        assert format_report(rep).endswith("gap=2 no conclusion\n")
-
     def test_undercut_upper_bound_is_a_contradiction(self, torus):
-        rep = report(torus, hull_exact(torus))
+        bd = band_diagram_from_provenance(torus, TORUS_SIDECAR)
+        rep = report(bd, hull_exact(torus))
         assert not rep.conclusive
         assert (rep.n, rep.lower, rep.upper) == (2, 1, 0)
         assert format_report(rep).endswith(
@@ -54,18 +55,15 @@ class TestInconclusiveReports:
         rep = report(torus_band, hull_exact(torus_band.diagram))
         assert not rep.conclusive
         assert (rep.n, rep.lower, rep.upper) == (2, 1, 3)
+        assert rep.tunnel_number is None
+        assert format_report(rep).endswith("gap=2 no conclusion\n")
 
 
 class TestWitnessChecks:
-    def test_unverified_result_rejected(self, triangle):
-        bogus = HullResult(size=2, witness=(1, 2), method="exact", verified=False)
-        with pytest.raises(UnverifiedWitness):
-            report(triangle, bogus)
-
-    def test_claimed_witness_is_rechecked(self, triangle):
-        bogus = HullResult(size=1, witness=(2,), method="exact", verified=True)
-        with pytest.raises(UnverifiedWitness):
-            report(triangle, bogus)
+    def test_claimed_witness_is_rechecked(self, chain3_band):
+        bogus = HullResult(witness=(2,), method="exact")
+        with pytest.raises(UnverifiedWitness, match="witness 2 does not percolate"):
+            report(chain3_band, bogus)
 
 
 class TestJson:
@@ -77,8 +75,8 @@ class TestJson:
         assert doc["tunnel"] == {"lower": 2, "upper": 2}
         assert doc["conclusion"] == {"t": 2, "genus": 3, "rank": 3}
 
-    def test_conclusion_is_nullable(self, triangle):
-        rep = report(triangle, hull_exact(triangle))
+    def test_conclusion_is_nullable(self, torus_band):
+        rep = report(torus_band, hull_exact(torus_band.diagram))
         doc = json.loads(report_to_json(rep))
         assert doc["conclusion"] is None
-        assert doc["tunnel"] == {"lower": 0, "upper": 2}
+        assert doc["tunnel"] == {"lower": 1, "upper": 3}

@@ -2,16 +2,20 @@ import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from bandlink import load_cmap, parse_trace, validate
+from bandlink import load_cmap, parse_trace, trace_to_json, validate
+from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
-from helpers import FIXTURES, HUGE
+from bandlink.percolation import format_trace
+from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, TORUS_SIDECAR
 
 TRIANGLE = str(FIXTURES / "triangle.cmap")
 CURL = str(FIXTURES / "curl.cmap")
 TORUS = str(FIXTURES / "torus.cmap")
+LOOP1 = str(FIXTURES / "loop1.cmap")
 CHAIN3 = str(FIXTURES / "chain3.json")
 CURLBAND = str(FIXTURES / "curlband.json")
 # A JSON array nested far deeper than the decoder's recursion limit.
@@ -26,6 +30,17 @@ def built(tmp_path):
     code = main(["build-band", CHAIN3, "-o", str(out), "--provenance", str(prov)])
     assert code == 0
     return str(out), str(prov)
+
+
+@pytest.fixture()
+def torus_spec(tmp_path):
+    """A band spec over fixtures/torus.cmap, one subdivision per edge: n=2, h=3."""
+    (tmp_path / "torus.cmap").write_text(Path(TORUS).read_text())
+    spec = tmp_path / "torus.json"
+    spec.write_text(json.dumps({"map": "torus.cmap", "edges": [
+        {"edge": 1, "subdivisions": 1}, {"edge": 2, "subdivisions": 1},
+    ]}))
+    return str(spec)
 
 
 class TestValidate:
@@ -70,7 +85,7 @@ class TestValidate:
     )
     def test_wrong_genus_rejected_at_load(self, tmp_path, command, capsys):
         bad = tmp_path / "bad.cmap"
-        bad.write_text(open(TRIANGLE).read().replace("genus 0", "genus 1"))
+        bad.write_text(Path(TRIANGLE).read_text().replace("genus 0", "genus 1"))
         assert main([command, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -113,7 +128,7 @@ class TestBuildBand:
         path, prov = built
         m = load_cmap(path)
         validate(m)
-        doc = json.loads(open(prov).read())
+        doc = json.loads(Path(prov).read_text())
         assert doc["format"] == "bandlink-provenance v1"
         assert doc["n"] == 3
 
@@ -178,23 +193,14 @@ class TestHull:
         assert main(["hull", path, "--budget", "3"]) == 4
         assert "budget" in capsys.readouterr().err
 
-    def test_stuck_walk_prints_its_log(self, tmp_path, capsys):
-        (tmp_path / "torus.cmap").write_text(open(TORUS).read())
-        spec = tmp_path / "torus.json"
-        spec.write_text(json.dumps({"map": "torus.cmap", "edges": [
-            {"edge": 1, "subdivisions": 1}, {"edge": 2, "subdivisions": 1},
-        ]}))
-        assert main(["hull", str(spec), "--constructive"]) == 4
+    def test_stuck_walk_prints_its_log(self, torus_spec, capsys):
+        assert main(["hull", torus_spec, "--constructive"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         first, *log = captured.err.splitlines()
         assert first == "error: every start face led to a dead end"
         assert log and all(line.startswith("  ") for line in log)
         assert any("dead end" in line for line in log)
-
-    def test_flags_are_exclusive(self, built, capsys):
-        path, _ = built
-        assert main(["hull", path, "--exact", "--constructive"]) == 1
 
 
 class TestReport:
@@ -212,13 +218,15 @@ class TestReport:
         assert main(["report", path, "--provenance", prov, "--exact"]) == 0
         assert "method=exact" in capsys.readouterr().out
 
-    def test_gap_exits_three(self, capsys):
-        assert main(["report", TRIANGLE]) == 3
+    def test_gap_exits_three(self, torus_spec, capsys):
+        assert main(["report", torus_spec, "--exact"]) == 3
         out = capsys.readouterr().out
         assert out.endswith("gap=2 no conclusion\n")
 
-    def test_undercut_exits_three(self, capsys):
-        assert main(["report", TORUS]) == 3
+    def test_undercut_exits_three(self, tmp_path, capsys):
+        prov = tmp_path / "torus.prov.json"
+        prov.write_text(TORUS_SIDECAR)
+        assert main(["report", TORUS, "--provenance", str(prov), "--exact"]) == 3
         assert capsys.readouterr().out == (
             "n=2\n"
             "lower=1 upper=0 witness=- method=exact\n"
@@ -230,6 +238,25 @@ class TestReport:
         assert main(["report", path, "--provenance", prov, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["conclusion"] == {"t": 2, "genus": 3, "rank": 3}
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["walk", "exact"])
+    @pytest.mark.parametrize("path", [TRIANGLE, LOOP1], ids=["triangle", "loop1"])
+    def test_plain_map_refused(self, path, exact, capsys):
+        # A map alone has no circles to count, so no lower bound to report.
+        assert main(["report", path, *exact]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: report needs a band spec or --provenance\n"
+
+    def test_sidecar_of_a_map_that_is_not_4_regular(self, tmp_path, capsys):
+        prov = tmp_path / "loop1.prov.json"
+        prov.write_text(LOOP1_SIDECAR)
+        assert main(["report", LOOP1, "--provenance", str(prov), "--exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex 1 has valence 2; a band diagram is 4-regular\n"
+        )
 
 
 class TestRender:
@@ -263,7 +290,50 @@ class TestRender:
         trace.write_text("manual: 1 3\nstep 1 vertex 99 face 1\n")
         svg = tmp_path / "out.svg"
         assert main(["render", path, "--trace", str(trace), "-o", str(svg)]) == 2
-        assert "vertex 99" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: trace has 'step 1 vertex 99 face 1' where the reclosure of its "
+            "manual set has 'step 1 vertex 2 face 4'\n"
+        )
+        assert not svg.exists()
+
+    # What percolate --trace writes for the 3-chain and manual set {1, 3}.
+    C3_TRACE = [
+        "manual: 1 3",
+        "step 1 vertex 2 face 4",
+        "step 1 vertex 4 face 7",
+        "step 1 vertex 5 face 2",
+        "step 2 vertex 6 face 1",
+    ]
+    M, E1, E2, E3, E4 = C3_TRACE
+    # (id, edited trace, its first line that differs, what that line should be)
+    EDITS = [
+        ("manual-unsorted", ["manual: 3 1", E1, E2, E3, E4], "manual: 3 1", M),
+        ("manual-repeated", ["manual: 1 1 3", E1, E2, E3, E4], "manual: 1 1 3", M),
+        ("entry-dropped", [M, E1, E3, E4], E3, E2),
+        ("entries-swapped", [M, E2, E1, E3, E4], E2, E1),
+        ("wrong-face", [M, E1, E2, E3, "step 2 vertex 6 face 3"], "step 2 vertex 6 face 3", E4),
+        ("wrong-step", [M, E1, E2, E3, "step 1 vertex 6 face 1"], "step 1 vertex 6 face 1", E4),
+        ("truncated", [M, E1, E2, E3], "end of trace", E4),
+        ("extra-entry", [*C3_TRACE, "step 3 vertex 1 face 1"], "step 3 vertex 1 face 1", "end of trace"),
+    ]
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    @pytest.mark.parametrize(
+        "lines,got,want", [pytest.param(*e[1:], id=e[0]) for e in EDITS]
+    )
+    def test_edited_trace_refused(self, built, tmp_path, suffix, lines, got, want, capsys):
+        path, _ = built
+        good = tmp_path / "good.txt"
+        assert main(["percolate", path, "--manual", "1,3", "--trace", str(good)]) == 0
+        assert good.read_text().splitlines() == self.C3_TRACE
+        edited = parse_trace("\n".join(lines))
+        trace = tmp_path / ("t" + suffix)
+        trace.write_text(trace_to_json(edited) if suffix == ".json" else format_trace(edited))
+        svg = tmp_path / "out.svg"
+        assert main(["render", path, "--trace", str(trace), "-o", str(svg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trace has {got!r} where the reclosure of its manual set has {want!r}\n"
+        )
         assert not svg.exists()
 
     def test_torus_rejected(self, capsys):
@@ -327,15 +397,23 @@ class TestBadInputFiles:
             '{"map": "base.cmap", "edges": [{"edge": %s}]}' % HUGE,
             '{"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": -%s}]}' % HUGE,
             '{"map": "base.cmap", "edges": [{"edge": 1, "twists": [-%s]}]}' % HUGE,
+            # Over the crossing cap; nothing may be allocated or built first.
+            json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": 10**30}]}),
+            json.dumps({"map": "base.cmap", "edges": [
+                {"edge": 1, "subdivisions": 0, "twists": [10**30]}]}),
+            # The triangle's three clasps are 6 crossings.
+            json.dumps({"map": "base.cmap", "edges": [
+                {"edge": 1, "twists": [MAX_CROSSINGS - 6 + 1]}]}),
         ],
         ids=[
             "map-number", "edges-number", "edge-float", "twists-string",
             "edges-nested-deep", "edge-entry-nested-900", "edge-huge",
-            "subdivisions-huge", "twist-huge",
+            "subdivisions-huge", "twist-huge", "subdivisions-over-cap",
+            "twists-over-cap", "one-over-cap",
         ],
     )
     def test_bad_spec(self, tmp_path, body, capsys):
-        (tmp_path / "base.cmap").write_text(open(TRIANGLE).read())
+        (tmp_path / "base.cmap").write_text(Path(TRIANGLE).read_text())
         spec = tmp_path / "spec.json"
         spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2

@@ -121,9 +121,13 @@ class TestDisconnected:
         validate(two)
         assert len(two.components) == 2
         assert two.component_genera == (0, 0)
+        empty = CombinatorialMap(0, (), (), 0)
+        validate(empty)
+        assert (empty.components, derived_genus(empty)) == ((), 0)
 
     def test_component_genera_checked(self, triangle, torus):
         mixed = _disjoint_union(triangle, torus)
+        assert derived_genus(mixed) == 1
         with pytest.raises(GenusMismatch):
             validate(mixed)
         validate(mixed, component_genera=[0, 1])

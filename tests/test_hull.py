@@ -33,7 +33,7 @@ class TestExact:
         assert result.size == 0
         assert result.witness == ()
         assert result.method == "exact"
-        assert result.verified
+        assert verify_witness(curl, result.witness)
 
     def test_triangle(self, triangle):
         result = hull_exact(triangle)
@@ -126,7 +126,7 @@ class TestConstructive:
         assert result.size == 2
         assert result.witness == (1, 3)
         assert result.method == "constructive"
-        assert result.verified
+        assert verify_witness(chain3_band.diagram, result.witness)
         assert result.log[0].startswith("start face")
 
     def test_chain_family(self):

@@ -5,13 +5,7 @@ import pytest
 
 from bandlink import close, faces, parse_trace, trace_to_json, verify_witness
 from bandlink.errors import UnknownVertex
-from bandlink.percolation import (
-    Closure,
-    PercolationTrace,
-    TraceEntry,
-    coloring_from_trace,
-    format_trace,
-)
+from bandlink.percolation import Closure, format_trace
 from helpers import random_map, sequential_close
 
 
@@ -74,17 +68,6 @@ class TestTraceFormats:
     def test_text_layout(self, triangle):
         _, trace = close(triangle, faces(triangle), [1, 3])
         assert format_trace(trace) == "manual: 1 3\nstep 1 vertex 2 face 1\n"
-
-    def test_coloring_from_trace(self, triangle):
-        coloring, trace = close(triangle, faces(triangle), [1, 3])
-        again = coloring_from_trace(trace, triangle.vertex_count)
-        assert again.colored == coloring.colored
-        assert again.step_of(2) == coloring.step_of(2)
-
-    def test_coloring_from_trace_checks_entries(self):
-        trace = PercolationTrace((1,), (TraceEntry(1, 99, 1),))
-        with pytest.raises(UnknownVertex):
-            coloring_from_trace(trace, 6)
 
 
 def _engine_state(engine: Closure):
