@@ -25,21 +25,7 @@ from .cmap import (
     strands,
     validate,
 )
-from .errors import (
-    BadValence,
-    BandlinkError,
-    BandSpecError,
-    BudgetExceeded,
-    CmapFormatError,
-    ConstructionStuck,
-    GenusMismatch,
-    MalformedPermutation,
-    NonPlanar,
-    ProvenanceError,
-    UnknownVertex,
-    UnverifiedWitness,
-    ZeroSubdivision,
-)
+from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from .hull import hull_constructive_band, hull_exact, verify_witness
 from .percolation import close, parse_trace, trace_to_json
 from .render import render_svg
@@ -47,21 +33,11 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadValence",
     "BandSpec",
     "BandlinkError",
-    "BandSpecError",
     "BudgetExceeded",
-    "CmapFormatError",
     "CombinatorialMap",
     "ConstructionStuck",
-    "GenusMismatch",
-    "MalformedPermutation",
-    "NonPlanar",
-    "ProvenanceError",
-    "UnknownVertex",
-    "UnverifiedWitness",
-    "ZeroSubdivision",
     "band_diagram_from_provenance",
     "build_band",
     "census",

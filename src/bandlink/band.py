@@ -23,15 +23,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .cmap import CombinatorialMap, load_cmap, validate
-from .errors import (
-    BadValence,
-    BandSpecError,
-    GenusMismatch,
-    ProvenanceError,
-    ZeroSubdivision,
-    clip_repr,
-    json_typed,
-)
+from .errors import BandlinkError, clip_repr, json_typed
 
 KIND_CLASP = "clasp"
 KIND_HASH = "hash"
@@ -79,29 +71,29 @@ class BandSpec:
         two, four = _check_valences(base)
         e_count = base.edge_count
         if len(self.subdivisions) != e_count:
-            raise BandSpecError(
+            raise BandlinkError(
                 f"{len(self.subdivisions)} subdivision counts for {e_count} edges"
             )
         if len(self.twists) != e_count:
-            raise BandSpecError(f"{len(self.twists)} twist lists for {e_count} edges")
+            raise BandlinkError(f"{len(self.twists)} twist lists for {e_count} edges")
         for eid, (d, dp) in enumerate(base.edge_pairs, start=1):
             k = self.subdivisions[eid - 1]
             if k < 0:
-                raise BandSpecError(f"edge {eid}: negative subdivision count {clip_repr(k)}")
+                raise BandlinkError(f"edge {eid}: negative subdivision count {clip_repr(k)}")
             ends = (base.vertex_of[d - 1], base.vertex_of[dp - 1])
             if k == 0 and all(base.valence(v) == 4 for v in ends):
-                raise ZeroSubdivision(
+                raise BandlinkError(
                     f"edge {eid} joins two 4-valent vertices and needs at least "
                     "one subdivision point"
                 )
             ts = self.twists[eid - 1]
             if len(ts) != k + 1:
-                raise BandSpecError(
+                raise BandlinkError(
                     f"edge {eid}: {len(ts)} twist counts for {clip_repr(k + 1)} segments"
                 )
             for t in ts:
                 if t < 0:
-                    raise BandSpecError(f"edge {eid}: negative twist count {clip_repr(t)}")
+                    raise BandlinkError(f"edge {eid}: negative twist count {clip_repr(t)}")
         # A clasp (2 crossings) per 2-valent vertex after subdivision, a hash
         # (4) per 4-valent vertex, and the twists.
         clasps = len(two) + sum(self.subdivisions)
@@ -149,7 +141,7 @@ class BandDiagram:
 
 def _check_crossings(total: int) -> None:
     if total > MAX_CROSSINGS:
-        raise BandSpecError(
+        raise BandlinkError(
             f"the spec asks for {clip_repr(total)} crossings; at most "
             f"{MAX_CROSSINGS} are built"
         )
@@ -163,7 +155,7 @@ def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:
         elif len(cyc) == 4:
             four.append(vid)
         else:
-            raise BadValence(
+            raise BandlinkError(
                 f"vertex {vid} has valence {len(cyc)}; band bases need 2 or 4"
             )
     return two, four
@@ -320,7 +312,7 @@ def build_band(spec: BandSpec) -> BandDiagram:
     # Genus preservation, component by component: each diagram component
     # must carry the genus of the subdivided component its crossings came from.
     if len(dl.components) != len(m.components):
-        raise GenusMismatch(
+        raise BandlinkError(
             f"band diagram has {len(dl.components)} components but the base "
             f"has {len(m.components)}"
         )
@@ -400,7 +392,7 @@ def census(bd: BandDiagram) -> CensusReport:
     for (kind, owner), vids in sorted(groups.items()):
         circ = {bd.circles_of_vertex[v - 1] for v in vids}
         if len(circ) != 1:
-            raise ProvenanceError(
+            raise BandlinkError(
                 f"{kind} {owner} mixes circle pairs {sorted(circ)}"
             )
         a, c = circ.pop()
@@ -445,15 +437,15 @@ def load_band_spec(path) -> BandSpec:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise BandSpecError(f"{path}: {exc}") from exc
+            raise BandlinkError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "map" not in doc:
-        raise BandSpecError(f"{path}: missing 'map' entry")
+        raise BandlinkError(f"{path}: missing 'map' entry")
     map_path = doc["map"]
     if not isinstance(map_path, str):
-        raise BandSpecError(f"{path}: 'map' must be a path string")
+        raise BandlinkError(f"{path}: 'map' must be a path string")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
-        raise BandSpecError(f"{path}: 'edges' must be a list")
+        raise BandlinkError(f"{path}: 'edges' must be a list")
     if not os.path.isabs(map_path):
         map_path = os.path.join(os.path.dirname(os.path.abspath(path)), map_path)
     base = load_cmap(map_path)
@@ -473,11 +465,11 @@ def load_band_spec(path) -> BandSpec:
             twists_in = json_typed(entry.get("twists", [0] * max(k + 1, 0)), list, "twists")
             ts = tuple(json_typed(t, int, "twist") for t in twists_in)
         except (KeyError, TypeError) as exc:
-            raise BandSpecError(f"bad edge entry {clip_repr(entry)}") from exc
+            raise BandlinkError(f"bad edge entry {clip_repr(entry)}") from exc
         if not 1 <= eid <= e_count:
-            raise BandSpecError(f"edge id {clip_repr(eid)} outside 1..{e_count}")
+            raise BandlinkError(f"edge id {clip_repr(eid)} outside 1..{e_count}")
         if eid in seen:
-            raise BandSpecError(f"edge {eid} listed twice")
+            raise BandlinkError(f"edge {eid} listed twice")
         seen.add(eid)
         subdivisions[eid - 1] = k
         twists[eid - 1] = ts
@@ -508,9 +500,9 @@ def _slot(entry: dict, key: str, slots: list) -> int:
     """The 1-based id ``entry[key]``, checked to name a free slot of ``slots``."""
     i = json_typed(entry[key], int, key)
     if not 1 <= i <= len(slots):
-        raise ProvenanceError(f"{key} {clip_repr(i)} outside 1..{len(slots)}")
+        raise BandlinkError(f"{key} {clip_repr(i)} outside 1..{len(slots)}")
     if slots[i - 1] is not None:
-        raise ProvenanceError(f"{key} {i} listed twice")
+        raise BandlinkError(f"{key} {i} listed twice")
     return i
 
 
@@ -524,17 +516,17 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     """
     for vid, cyc in enumerate(m.vertex_cycles, start=1):
         if len(cyc) != 4:
-            raise ProvenanceError(
+            raise BandlinkError(
                 f"vertex {vid} has valence {len(cyc)}; a band diagram is 4-regular"
             )
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ProvenanceError(f"bad provenance JSON: {exc}") from exc
+        raise BandlinkError(f"bad provenance JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ProvenanceError("provenance document is not a JSON object")
+        raise BandlinkError("provenance document is not a JSON object")
     if doc.get("format") != PROVENANCE_FORMAT:
-        raise ProvenanceError(
+        raise BandlinkError(
             f"unknown provenance format {clip_repr(doc.get('format'))}"
         )
     try:
@@ -542,7 +534,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         for entry in json_typed(doc["crossing_kind"], list, "crossing_kind"):
             vid = _slot(entry, "vertex", kinds)
             if entry["kind"] not in KINDS:
-                raise ProvenanceError(
+                raise BandlinkError(
                     f"vertex {vid}: unknown kind {clip_repr(entry['kind'])}"
                 )
             kinds[vid - 1] = Crossing(
@@ -554,12 +546,12 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         for entry in json_typed(doc["face_provenance"], list, "face_provenance"):
             fid = _slot(entry, "face", listed)
             if entry["kind"] not in ("base", "internal"):
-                raise ProvenanceError(
+                raise BandlinkError(
                     f"face {fid}: unknown kind {clip_repr(entry['kind'])}"
                 )
             listed[fid - 1] = entry
         if any(entry is None for entry in listed):
-            raise ProvenanceError("face list does not match the map's faces")
+            raise BandlinkError("face list does not match the map's faces")
         provenance = tuple(
             json_typed(entry["base_face"], int, "base_face")
             if entry["kind"] == "base"
@@ -568,9 +560,9 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         )
         recorded = {key: doc[key] for key in ("n", "degenerate", "circle_of_strand")}
     except (KeyError, TypeError) as exc:
-        raise ProvenanceError(f"incomplete provenance document: {exc}") from exc
+        raise BandlinkError(f"incomplete provenance document: {exc}") from exc
     if any(k is None for k in kinds):
-        raise ProvenanceError("provenance does not cover every vertex")
+        raise BandlinkError("provenance does not cover every vertex")
     bd = BandDiagram(m, tuple(kinds), provenance)
     derived = {
         "n": bd.n,
@@ -579,7 +571,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     }
     for key, want in derived.items():
         if recorded[key] != want:
-            raise ProvenanceError(
+            raise BandlinkError(
                 f"provenance {key} {clip_repr(recorded[key])} does not match "
                 f"the map's {clip_repr(want)}"
             )

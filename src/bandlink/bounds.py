@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .band import BandDiagram
-from .errors import UnverifiedWitness
+from .errors import BandlinkError
 from .hull import HullResult, verify_witness
 
 
@@ -42,7 +42,7 @@ def report(bd: BandDiagram, hull: HullResult) -> BoundsReport:
     silently weakening the upper bound.
     """
     if not verify_witness(bd.diagram, hull.witness):
-        raise UnverifiedWitness(
+        raise BandlinkError(
             "witness " + " ".join(str(v) for v in hull.witness) + " does not percolate"
         )
     lower = max(bd.n - 1, 0)

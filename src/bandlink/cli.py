@@ -27,13 +27,7 @@ from .cmap import (
     strands,
     validate,
 )
-from .errors import (
-    BandlinkError,
-    BandSpecError,
-    CmapFormatError,
-    ConstructionStuck,
-    clip_repr,
-)
+from .errors import BandlinkError, ConstructionStuck, clip_repr
 from .hull import hull_constructive_band, hull_exact
 from .percolation import close, format_trace, parse_trace, trace_to_json
 from .render import render_svg
@@ -45,15 +39,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{clip_repr(text)} is not a non-negative integer")
+    return value
+
+
 def _load(path: str, provenance: str | None = None, genera=None):
     """Resolve a map argument to (map, band context or None).
 
     A .json path is a band spec, built on the spot (the builder checks what
-    it builds); anything else is a .cmap file, validated here once against
-    ``genera`` and optionally paired with a provenance sidecar.  Nothing
-    downstream validates again.
+    it builds), and takes no sidecar; anything else is a .cmap file,
+    validated here once against ``genera`` and optionally paired with a
+    provenance sidecar.  Nothing downstream validates again.
     """
     if path.endswith(".json"):
+        if provenance:
+            raise BandlinkError("--provenance goes with a .cmap path, not a band spec")
         bd = build_band(load_band_spec(path))
         if genera is not None:
             validate(bd.diagram, genera)
@@ -73,7 +79,7 @@ def _parse_ints(values) -> list[int]:
             try:
                 out.append(int(tok))
             except ValueError:
-                raise BandSpecError(f"vertex id {clip_repr(tok)} is not an integer")
+                raise BandlinkError(f"vertex id {clip_repr(tok)} is not an integer")
     return out
 
 
@@ -149,7 +155,7 @@ def _cmd_percolate(args) -> int:
 
 def _band(bd: BandDiagram | None, what: str) -> BandDiagram:
     if bd is None:
-        raise BandSpecError(f"{what} needs a band spec or --provenance")
+        raise BandlinkError(f"{what} needs a band spec or --provenance")
     return bd
 
 
@@ -175,20 +181,31 @@ def _cmd_report(args) -> int:
     return 0 if rep.conclusive else 3
 
 
+def _refuse_difference(got: list[str], want: list[str], where: str) -> None:
+    for line, expected in zip_longest(got, want, fillvalue="end of trace"):
+        if line != expected:
+            raise BandlinkError(
+                f"trace has {clip_repr(line)} where {where} {clip_repr(expected)}"
+            )
+
+
 def _cmd_render(args) -> int:
     m, bd = _load(args.path, args.provenance)
     coloring = None
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as fh:
-            recorded = parse_trace(fh.read())
+            text = fh.read()
+        recorded = parse_trace(text)
         coloring, trace = close(m, faces(m), recorded.manual)
-        got, want = format_trace(recorded).splitlines(), format_trace(trace).splitlines()
-        for line, expected in zip_longest(got, want, fillvalue="end of trace"):
-            if line != expected:
-                raise CmapFormatError(
-                    f"trace has {clip_repr(line)} where the reclosure of its "
-                    f"manual set has {clip_repr(expected)}"
-                )
+        _refuse_difference(
+            format_trace(recorded).splitlines(),
+            format_trace(trace).splitlines(),
+            "the reclosure of its manual set has",
+        )
+        # Then the file itself: exactly what `percolate --trace` writes, in
+        # the flavour parse_trace read it as.
+        written = trace_to_json(trace) if text.strip().startswith("{") else format_trace(trace)
+        _refuse_difference(text.split("\n"), written.split("\n"), "percolate --trace writes")
     elif args.manual is not None:
         coloring, _ = close(m, faces(m), _parse_ints(args.manual))
     svg = render_svg(m, coloring=coloring, band=bd)
@@ -237,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_hull_options(p):
         p.add_argument("path")
         p.add_argument("--provenance", help="sidecar JSON giving band context")
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_budget, default=None)
 
     p = sub.add_parser("hull", help="find a minimum percolating set")
     add_hull_options(p)
@@ -257,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a genus zero map as SVG")
     p.add_argument("path")
     p.add_argument("--provenance", help="sidecar JSON to mark crossing kinds")
-    p.add_argument("--trace", help="tint from a saved trace, checked by reclosing it")
-    p.add_argument("--manual", action="append", help="tint a fresh percolation run")
+    tint = p.add_mutually_exclusive_group()
+    tint.add_argument("--trace", help="tint from a saved trace, checked by reclosing it")
+    tint.add_argument("--manual", action="append", help="tint a fresh percolation run")
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_render)
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import (
-    BadValence,
-    CmapFormatError,
-    GenusMismatch,
-    MalformedPermutation,
-    clip_repr,
-)
+from .errors import BandlinkError, clip_repr
 
 
 def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -41,7 +35,7 @@ def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
         d = images[start - 1]
         while d != start:
             if not 1 <= d <= n or seen[d] or len(cyc) > n:
-                raise MalformedPermutation("image array is not a permutation")
+                raise BandlinkError("image array is not a permutation")
             cyc.append(d)
             seen[d] = True
             d = images[d - 1]
@@ -68,27 +62,27 @@ class CombinatorialMap:
         object.__setattr__(self, "sigma", tuple(self.sigma))
         n = self.dart_count
         if n < 0 or n % 2:
-            raise MalformedPermutation(f"dart count must be even and >= 0, got {clip_repr(n)}")
+            raise BandlinkError(f"dart count must be even and >= 0, got {clip_repr(n)}")
         for name, images in (("alpha", self.alpha), ("sigma", self.sigma)):
             if len(images) != n:
-                raise MalformedPermutation(
+                raise BandlinkError(
                     f"{name} lists {len(images)} images for {n} darts"
                 )
             hit = [False] * n
             for d in images:
                 if not isinstance(d, int) or not 1 <= d <= n:
-                    raise MalformedPermutation(f"{name} image {clip_repr(d)} outside 1..{n}")
+                    raise BandlinkError(f"{name} image {clip_repr(d)} outside 1..{n}")
                 if hit[d - 1]:
-                    raise MalformedPermutation(f"{name} maps two darts to {d}")
+                    raise BandlinkError(f"{name} maps two darts to {d}")
                 hit[d - 1] = True
         for d in range(1, n + 1):
             img = self.alpha[d - 1]
             if img == d or self.alpha[img - 1] != d:
-                raise MalformedPermutation(
+                raise BandlinkError(
                     f"alpha must pair dart {d} with a distinct partner"
                 )
         if self.declared_genus < 0:
-            raise GenusMismatch(f"declared genus {clip_repr(self.declared_genus)} is negative")
+            raise BandlinkError(f"declared genus {clip_repr(self.declared_genus)} is negative")
 
     @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -197,7 +191,7 @@ class CombinatorialMap:
                 if d == start:
                     break
             if len(set(walk)) != len(walk):
-                raise MalformedPermutation(
+                raise BandlinkError(
                     f"strand from dart {start} repeats a dart; rotation system is twisted"
                 )
             out.append(Strand(len(out) + 1, tuple(walk)))
@@ -235,26 +229,33 @@ def validate(
     """Check a map's declared genus against Euler's formula.
 
     A connected map must satisfy V - E + F = 2 - 2g for the declared genus.
-    A disconnected map is read as one sphere per component unless explicit
-    per-component genera are supplied (ordered by each component's least
-    dart).  A failure raises :class:`GenusMismatch`.  The permutation
-    invariants need no check here: the constructor enforces them.
+    A disconnected map is read as one sphere per component, declaring genus
+    0, unless explicit per-component genera are supplied (ordered by each
+    component's least dart); supplied genera then stand in for the declared
+    genus.  Supplied genera are compared on every map, connected or not.  A
+    failure raises :class:`BandlinkError`.  The permutation invariants need
+    no check here: the constructor enforces them.
     """
     genera = m.component_genera
-    if len(genera) <= 1:
-        derived = genera[0] if genera else 0
-        if derived != m.declared_genus:
-            chi = m.vertex_count - m.edge_count + len(m.faces)
-            raise GenusMismatch(
-                f"declared genus {clip_repr(m.declared_genus)} but V-E+F = {chi} "
-                f"gives genus {derived}"
+    if component_genera is None:
+        if len(genera) > 1 and m.declared_genus != 0:
+            raise BandlinkError(
+                f"declared genus {clip_repr(m.declared_genus)} but a disconnected map "
+                "without per-component genera is read as spheres"
             )
-        return
-    expected = tuple(component_genera) if component_genera is not None else (0,) * len(genera)
-    if len(expected) != len(genera):
-        raise GenusMismatch(f"{len(genera)} components but {len(expected)} genera supplied")
+        expected = genera if len(genera) <= 1 else (0,) * len(genera)
+    else:
+        expected = tuple(component_genera)
+        if len(expected) != len(genera):
+            raise BandlinkError(f"{len(genera)} components but {len(expected)} genera supplied")
     if genera != expected:
-        raise GenusMismatch(f"per-component genera {genera} do not match expected {expected}")
+        raise BandlinkError(f"per-component genera {genera} do not match expected {expected}")
+    if len(genera) <= 1 and sum(genera) != m.declared_genus:
+        chi = m.vertex_count - m.edge_count + len(m.faces)
+        raise BandlinkError(
+            f"declared genus {clip_repr(m.declared_genus)} but V-E+F = {chi} "
+            f"gives genus {sum(genera)}"
+        )
 
 
 def faces(m: CombinatorialMap) -> tuple[Face, ...]:
@@ -274,7 +275,7 @@ def _opposite(m: CombinatorialMap, d: int) -> int:
         return m.sigma[d - 1]
     if val == 4:
         return m.sigma[m.sigma[d - 1] - 1]
-    raise BadValence(
+    raise BandlinkError(
         f"vertex {m.vertex_of[d - 1]} has valence {val}; strands need 2 or 4"
     )
 
@@ -308,7 +309,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
             continue
         if not header_seen:
             if line != FORMAT_HEADER:
-                raise CmapFormatError(
+                raise BandlinkError(
                     f"line {lineno}: expected '{FORMAT_HEADER}' header, got {clip_repr(line)}"
                 )
             header_seen = True
@@ -316,52 +317,52 @@ def parse_cmap(text: str) -> CombinatorialMap:
         parts = line.split()
         key, args = parts[0], parts[1:]
         if key not in ("genus", "darts", "alpha", "sigma"):
-            raise CmapFormatError(f"line {lineno}: unknown directive {clip_repr(key)}")
+            raise BandlinkError(f"line {lineno}: unknown directive {clip_repr(key)}")
         if key in fields:
-            raise CmapFormatError(f"line {lineno}: duplicate directive {key!r}")
+            raise BandlinkError(f"line {lineno}: duplicate directive {key!r}")
         fields[key] = (lineno, args)
     if not header_seen:
-        raise CmapFormatError("line 1: missing 'cmap v1' header")
+        raise BandlinkError("line 1: missing 'cmap v1' header")
     for key in ("darts", "alpha", "sigma"):
         if key not in fields:
-            raise CmapFormatError(f"line {len(text.splitlines()) or 1}: missing directive {key!r}")
+            raise BandlinkError(f"line {len(text.splitlines()) or 1}: missing directive {key!r}")
 
     def as_int(key: str, token: str) -> int:
         lineno = fields[key][0]
         try:
             return int(token)
         except ValueError:
-            raise CmapFormatError(
+            raise BandlinkError(
                 f"line {lineno}: {key} value {clip_repr(token)} is not an integer"
             )
 
     lineno, args = fields["darts"]
     if len(args) != 1:
-        raise CmapFormatError(f"line {lineno}: darts takes one value")
+        raise BandlinkError(f"line {lineno}: darts takes one value")
     n = as_int("darts", args[0])
     if n < 0 or n % 2:
-        raise CmapFormatError(f"line {lineno}: dart count {clip_repr(n)} must be even and >= 0")
+        raise BandlinkError(f"line {lineno}: dart count {clip_repr(n)} must be even and >= 0")
 
     genus = 0
     if "genus" in fields:
         lineno, args = fields["genus"]
         if len(args) != 1:
-            raise CmapFormatError(f"line {lineno}: genus takes one value")
+            raise BandlinkError(f"line {lineno}: genus takes one value")
         genus = as_int("genus", args[0])
         if genus < 0:
-            raise CmapFormatError(f"line {lineno}: genus {clip_repr(genus)} is negative")
+            raise BandlinkError(f"line {lineno}: genus {clip_repr(genus)} is negative")
 
     perms = {}
     for key in ("alpha", "sigma"):
         lineno, args = fields[key]
         if len(args) != n:
-            raise CmapFormatError(
+            raise BandlinkError(
                 f"line {lineno}: {key} lists {len(args)} images for {n} darts"
             )
         images = [as_int(key, tok) for tok in args]
         for img in images:
             if not 1 <= img <= n:
-                raise CmapFormatError(
+                raise BandlinkError(
                     f"line {lineno}: {key} image {clip_repr(img)} outside 1..{n}"
                 )
         perms[key] = tuple(images)

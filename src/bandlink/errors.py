@@ -1,59 +1,23 @@
-"""Exception taxonomy shared by the whole package.
+"""The package's errors and the checks its readers share.
 
-Every error carries an ``exit_code`` so the command line front end can map
-failures onto its documented exit statuses without a big lookup table.
-:func:`json_typed` is the one type check the JSON readers share, and
-:func:`clip_repr` bounds every input value an error message echoes.
+Every error is a :class:`BandlinkError` and carries an ``exit_code``, so the
+command line front end maps a failure onto its documented exit status
+without a lookup table.  A subclass exists only when it carries data or an
+exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
+(exit 4).  Every other failure, from a malformed ``.cmap`` file to a witness
+that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
+message says what is wrong.  :func:`json_typed` is the one type check the
+JSON readers share, and :func:`clip_repr` bounds every input value an error
+message echoes.
 """
 
 from __future__ import annotations
 
 
 class BandlinkError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: bad input or a failed check."""
 
     exit_code = 2
-
-
-class MalformedPermutation(BandlinkError):
-    """A dart permutation is not a bijection on 1..2E, or alpha is not a
-    fixed-point-free involution."""
-
-
-class GenusMismatch(BandlinkError):
-    """Declared genus disagrees with the genus derived from Euler's formula."""
-
-
-class BadValence(BandlinkError):
-    """A vertex has a valence the operation cannot accept."""
-
-
-class ZeroSubdivision(BandlinkError):
-    """An edge joining two 4-valent vertices received no subdivision points."""
-
-
-class UnknownVertex(BandlinkError):
-    """A vertex id outside 1..V was supplied."""
-
-
-class CmapFormatError(BandlinkError):
-    """A .cmap file is malformed; the message carries a line number."""
-
-
-class BandSpecError(BandlinkError):
-    """A band specification document is malformed or inconsistent."""
-
-
-class ProvenanceError(BandlinkError):
-    """A provenance sidecar does not match the diagram it claims to describe."""
-
-
-class NonPlanar(BandlinkError):
-    """Rendering was asked for a map of positive genus."""
-
-
-class UnverifiedWitness(BandlinkError):
-    """A bounds report was requested for a witness that does not percolate."""
 
 
 class BudgetExceeded(BandlinkError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import CmapFormatError, UnknownVertex, clip_repr, json_typed
+from .errors import BandlinkError, clip_repr, json_typed
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def check_vertices(vertices: Iterable[int], vertex_count: int) -> frozenset[int]
     out = frozenset(vertices)
     for v in out:
         if not 1 <= v <= vertex_count:
-            raise UnknownVertex(f"vertex {clip_repr(v)} outside 1..{vertex_count}")
+            raise BandlinkError(f"vertex {clip_repr(v)} outside 1..{vertex_count}")
     return out
 
 
@@ -191,7 +191,7 @@ def parse_trace(text: str) -> PercolationTrace:
         try:
             doc = json.loads(body)
         except (ValueError, RecursionError) as exc:
-            raise CmapFormatError(f"bad trace JSON: {exc}") from exc
+            raise BandlinkError(f"bad trace JSON: {exc}") from exc
         try:
             manual = json_typed(doc.get("manual", []), list, "manual")
             steps = json_typed(doc.get("steps", []), list, "steps")
@@ -203,7 +203,7 @@ def parse_trace(text: str) -> PercolationTrace:
                 ),
             )
         except (KeyError, TypeError) as exc:
-            raise CmapFormatError(f"bad trace JSON: {exc}") from exc
+            raise BandlinkError(f"bad trace JSON: {exc}") from exc
     manual: tuple[int, ...] = ()
     entries = []
     for lineno, raw in enumerate(body.splitlines(), start=1):
@@ -219,5 +219,5 @@ def parse_trace(text: str) -> PercolationTrace:
                 raise ValueError
             entries.append(TraceEntry(int(parts[1]), int(parts[3]), int(parts[5])))
         except ValueError:
-            raise CmapFormatError(f"line {lineno}: bad trace line {clip_repr(line)}") from None
+            raise BandlinkError(f"line {lineno}: bad trace line {clip_repr(line)}") from None
     return PercolationTrace(manual, tuple(entries))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .band import BandDiagram, KIND_CLASP, KIND_TWIST
 from .cmap import CombinatorialMap, Face
-from .errors import GenusMismatch, NonPlanar
+from .errors import BandlinkError
 from .percolation import Coloring
 
 RADIUS = 120.0
@@ -33,11 +33,11 @@ _KIND_STROKE = {KIND_CLASP: "#c0392b", KIND_TWIST: "#8e44ad"}
 def _require_planar(m: CombinatorialMap) -> None:
     for comp, g in zip(m.components, m.component_genera):
         if g != 0:
-            raise NonPlanar(
+            raise BandlinkError(
                 f"component at dart {comp[0]} has genus {g}; only genus 0 renders"
             )
     if m.is_connected() and m.declared_genus != 0:
-        raise GenusMismatch(
+        raise BandlinkError(
             f"map declares genus {m.declared_genus} but embeds on the sphere"
         )
 

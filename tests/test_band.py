@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -19,12 +20,7 @@ from bandlink import (
 )
 from bandlink.band import MAX_CROSSINGS, _subdivide
 from bandlink.cmap import cycles_of_images
-from bandlink.errors import (
-    BadValence,
-    BandSpecError,
-    ProvenanceError,
-    ZeroSubdivision,
-)
+from bandlink.errors import BandlinkError
 from helpers import (
     FIXTURES,
     HUGE,
@@ -41,40 +37,40 @@ class TestCheckSpec:
 
     def test_rejects_other_valences(self):
         path = CombinatorialMap(4, (2, 1, 4, 3), (1, 3, 4, 2), 0)
-        with pytest.raises(BadValence):
+        with pytest.raises(BandlinkError, match="vertex 1 has valence 1; band bases need 2 or 4"):
             BandSpec(path, (0, 0), ((0,), (0,)))
 
     def test_rejects_bare_crossing_edge(self, curl):
-        with pytest.raises(ZeroSubdivision):
+        with pytest.raises(BandlinkError, match="edge 1 joins two 4-valent vertices"):
             BandSpec(curl, (0, 0), ((0,), (0,)))
-        with pytest.raises(ZeroSubdivision):
+        with pytest.raises(BandlinkError, match="edge 2 joins two 4-valent vertices"):
             BandSpec(curl, (1, 0), ((0, 0), (0,)))
 
     def test_two_valent_edges_may_skip_subdivision(self, triangle):
         BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,)))
 
     def test_lengths_must_match(self, triangle):
-        with pytest.raises(BandSpecError):
+        with pytest.raises(BandlinkError, match="2 subdivision counts for 3 edges"):
             BandSpec(triangle, (0, 0), ((0,), (0,), (0,)))
-        with pytest.raises(BandSpecError):
+        with pytest.raises(BandlinkError, match="2 twist lists for 3 edges"):
             BandSpec(triangle, (0, 0, 0), ((0,), (0,)))
-        with pytest.raises(BandSpecError):
+        with pytest.raises(BandlinkError, match="edge 1: 2 twist counts for 1 segments"):
             BandSpec(triangle, (0, 0, 0), ((0, 0), (0,), (0,)))
 
     def test_counts_must_be_non_negative(self, triangle):
-        with pytest.raises(BandSpecError):
+        with pytest.raises(BandlinkError, match="edge 1: negative subdivision count -1"):
             BandSpec(triangle, (-1, 0, 0), ((0,), (0,), (0,)))
-        with pytest.raises(BandSpecError):
+        with pytest.raises(BandlinkError, match="edge 1: negative twist count -1"):
             BandSpec(triangle, (0, 0, 0), ((-1,), (0,), (0,)))
 
     def test_crossings_are_capped(self, triangle, curl):
         # Checked on the counts alone; no spec is built here.  The triangle's
         # clasps are 6 crossings; the curl's hash is 4, plus 2 per subdivision.
         BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 6,), (0,), (0,)))
-        with pytest.raises(BandSpecError, match=f"asks for {MAX_CROSSINGS + 1} crossings"):
+        with pytest.raises(BandlinkError, match=f"asks for {MAX_CROSSINGS + 1} crossings"):
             BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 5,), (0,), (0,)))
         k = MAX_CROSSINGS // 2
-        with pytest.raises(BandSpecError, match=f"asks for {2 * k + 6} crossings"):
+        with pytest.raises(BandlinkError, match=f"asks for {2 * k + 6} crossings"):
             BandSpec(curl, (k, 1), ((0,) * (k + 1), (0, 0)))
 
 
@@ -299,14 +295,13 @@ class TestSpecFiles:
     def test_bad_documents(self, tmp_path, triangle, doc, fragment):
         (tmp_path / "base.cmap").write_text(format_cmap(triangle))
         (tmp_path / "spec.json").write_text(json.dumps(doc))
-        with pytest.raises(BandSpecError) as err:
+        with pytest.raises(BandlinkError, match=re.escape(fragment)):
             load_band_spec(tmp_path / "spec.json")
-        assert fragment in str(err.value)
 
     def test_unsubdivided_crossing_edges_rejected_at_load(self, tmp_path, curl):
         (tmp_path / "base.cmap").write_text(format_cmap(curl))
         (tmp_path / "spec.json").write_text(json.dumps({"map": "base.cmap"}))
-        with pytest.raises(ZeroSubdivision):
+        with pytest.raises(BandlinkError, match="needs at least one subdivision point"):
             load_band_spec(tmp_path / "spec.json")
 
 
@@ -418,35 +413,34 @@ class TestProvenanceSidecar:
     def test_bad_sidecars_rejected(self, chain3_band, edit, fragment):
         doc = edit(json.loads(provenance_to_json(chain3_band)))
         text = doc if isinstance(doc, str) else json.dumps(doc)
-        with pytest.raises(ProvenanceError) as err:
+        with pytest.raises(BandlinkError, match=re.escape(fragment)):
             band_diagram_from_provenance(chain3_band.diagram, text)
-        assert fragment in str(err.value)
 
     def test_format_line_is_checked(self, chain3_band):
         doc = json.loads(provenance_to_json(chain3_band))
         doc["format"] = "bandlink-provenance v0"
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(BandlinkError, match="unknown provenance format"):
             band_diagram_from_provenance(chain3_band.diagram, json.dumps(doc))
 
     def test_component_count_is_cross_checked(self, chain3_band):
         doc = json.loads(provenance_to_json(chain3_band))
         doc["n"] = 2
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(BandlinkError, match="provenance n 2 does not match the map's 3"):
             band_diagram_from_provenance(chain3_band.diagram, json.dumps(doc))
 
     def test_every_vertex_needs_a_kind(self, chain3_band):
         doc = json.loads(provenance_to_json(chain3_band))
         doc["crossing_kind"] = doc["crossing_kind"][:-1]
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(BandlinkError, match="provenance does not cover every vertex"):
             band_diagram_from_provenance(chain3_band.diagram, json.dumps(doc))
 
     def test_wrong_map_is_rejected(self, chain3_band, curl_band):
         text = provenance_to_json(chain3_band)
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(BandlinkError, match="face list does not match the map's faces"):
             band_diagram_from_provenance(curl_band.diagram, text)
 
     def test_map_must_be_4_regular(self, loop1, torus):
-        with pytest.raises(ProvenanceError, match="vertex 1 has valence 2"):
+        with pytest.raises(BandlinkError, match="vertex 1 has valence 2"):
             band_diagram_from_provenance(loop1, LOOP1_SIDECAR)
         bd = band_diagram_from_provenance(torus, TORUS_SIDECAR)
         assert (bd.n, bd.degenerate) == (2, False)

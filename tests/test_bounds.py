@@ -10,7 +10,7 @@ from bandlink import (
     report,
 )
 from bandlink.bounds import report_to_json
-from bandlink.errors import UnverifiedWitness
+from bandlink.errors import BandlinkError
 from bandlink.hull import HullResult
 from helpers import TORUS_SIDECAR
 
@@ -62,7 +62,7 @@ class TestInconclusiveReports:
 class TestWitnessChecks:
     def test_claimed_witness_is_rechecked(self, chain3_band):
         bogus = HullResult(witness=(2,), method="exact")
-        with pytest.raises(UnverifiedWitness, match="witness 2 does not percolate"):
+        with pytest.raises(BandlinkError, match="witness 2 does not percolate"):
             report(chain3_band, bogus)
 
 

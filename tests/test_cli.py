@@ -69,6 +69,13 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "error: 2 components but 1 genera supplied\n"
 
+    def test_genera_checked_on_connected_map(self, capsys):
+        assert main(["validate", TRIANGLE, "--genera", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: per-component genera (0,) do not match expected (5,)\n"
+        assert main(["validate", TORUS, "--genera", "1"]) == 0
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such.cmap"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -192,6 +199,16 @@ class TestHull:
         path, _ = built
         assert main(["hull", path, "--budget", "3"]) == 4
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hull", "report"])
+    @pytest.mark.parametrize("budget", ["-1", "x"])
+    def test_budget_must_be_non_negative(self, command, budget, capsys):
+        assert main([command, CHAIN3, "--budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --budget: {budget!r} is not a non-negative integer\n"
+        )
 
     def test_stuck_walk_prints_its_log(self, torus_spec, capsys):
         assert main(["hull", torus_spec, "--constructive"]) == 4
@@ -336,6 +353,48 @@ class TestRender:
         )
         assert not svg.exists()
 
+    # Traces parse_trace reads and whose entries match the reclosure, but
+    # which are not the text percolate --trace writes.
+    LOOSE = [
+        ("foreign-manual-line", "t.txt", lambda text: "manual: 99 100\n" + text,
+         "manual: 99 100", "manual: 1 3"),
+        ("trailing-blank-lines", "t.txt", lambda text: text + "\n\n", "", "end of trace"),
+        ("extra-json-fields", "t.json", lambda text: json.dumps(
+            dict(json.loads(text), note="x",
+                 steps=[dict(s, extra=0) for s in json.loads(text)["steps"]]),
+            indent=2, sort_keys=True) + "\n",
+         '  "note": "x",', '  "steps": ['),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,edit,got,want", [pytest.param(*e[1:], id=e[0]) for e in LOOSE]
+    )
+    def test_trace_must_be_written_text(self, built, tmp_path, name, edit, got, want, capsys):
+        path, _ = built
+        trace = tmp_path / name
+        assert main(["percolate", path, "--manual", "1,3", "--trace", str(trace)]) == 0
+        assert main(["render", path, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        trace.write_text(edit(trace.read_text()))
+        svg = tmp_path / "out.svg"
+        assert main(["render", path, "--trace", str(trace), "-o", str(svg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trace has {got!r} where percolate --trace writes {want!r}\n"
+        )
+        assert not svg.exists()
+
+    def test_one_tint_source(self, built, tmp_path, capsys):
+        path, _ = built
+        trace = tmp_path / "t.txt"
+        assert main(["percolate", path, "--manual", "1,3", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["render", path, "--trace", str(trace), "--manual", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --manual: not allowed with argument --trace\n"
+        )
+
     def test_torus_rejected(self, capsys):
         assert main(["render", TORUS]) == 2
         assert "genus" in capsys.readouterr().err
@@ -418,6 +477,15 @@ class TestBadInputFiles:
         spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2
         self.assert_one_error_line(capsys.readouterr(), tmp_path)
+
+    @pytest.mark.parametrize("command", ["faces", "hull", "report", "render"])
+    def test_provenance_with_band_spec_refused(self, tmp_path, command, capsys):
+        # The sidecar is refused before it is opened, so it need not exist.
+        missing = str(tmp_path / "missing.json")
+        assert main([command, CHAIN3, "--provenance", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --provenance goes with a .cmap path, not a band spec\n"
 
     @pytest.mark.parametrize("command", ["percolate", "render"])
     @pytest.mark.parametrize(

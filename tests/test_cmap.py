@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from bandlink import (
     validate,
 )
 from bandlink.cmap import cycles_of_images
-from bandlink.errors import CmapFormatError, GenusMismatch, MalformedPermutation
+from bandlink.errors import BandlinkError
 from helpers import HUGE, random_map, relabel
 
 
@@ -28,26 +29,26 @@ class TestPermutationHelpers:
         )
 
     def test_images_reject_out_of_range(self):
-        with pytest.raises(MalformedPermutation):
+        with pytest.raises(BandlinkError, match="image array is not a permutation"):
             cycles_of_images((2, 5))
 
     def test_images_reject_duplicates(self):
-        with pytest.raises(MalformedPermutation):
+        with pytest.raises(BandlinkError, match="image array is not a permutation"):
             cycles_of_images((2, 2, 1))
 
 
 class TestConstruction:
     def test_alpha_must_be_involution(self):
-        with pytest.raises(MalformedPermutation):
+        with pytest.raises(BandlinkError, match="alpha must pair dart 1 with a distinct partner"):
             CombinatorialMap(4, (2, 3, 4, 1), (2, 3, 4, 1), 0)
 
     def test_alpha_must_move_every_dart(self):
-        with pytest.raises(MalformedPermutation):
+        with pytest.raises(BandlinkError, match="alpha must pair dart 1 with a distinct partner"):
             CombinatorialMap(4, (1, 2, 4, 3), (2, 3, 4, 1), 0)
 
     @pytest.mark.parametrize("image", [HUGE, "x" * 3000], ids=["huge", "long"])
     def test_echoed_image_is_clipped(self, image):
-        with pytest.raises(MalformedPermutation) as err:
+        with pytest.raises(BandlinkError, match=r"alpha image .{80}\.\.\. outside 1\.\.2") as err:
             CombinatorialMap(2, (2, image), (2, 1), 0)
         assert len(str(err.value)) < 200
 
@@ -95,11 +96,11 @@ class TestTorus:
 
     def test_declared_genus_enforced(self, torus):
         flat = CombinatorialMap(torus.dart_count, torus.alpha, torus.sigma, 0)
-        with pytest.raises(GenusMismatch, match="gives genus 1"):
+        with pytest.raises(BandlinkError, match="gives genus 1"):
             validate(flat)
         assert flat.component_genera == (1,)
         huge = CombinatorialMap(torus.dart_count, torus.alpha, torus.sigma, HUGE)
-        with pytest.raises(GenusMismatch, match=r"declared genus 9{80}\.\.\. but"):
+        with pytest.raises(BandlinkError, match=r"declared genus 9{80}\.\.\. but"):
             validate(huge)
 
     def test_single_face(self, torus):
@@ -125,15 +126,22 @@ class TestDisconnected:
         validate(empty)
         assert (empty.components, derived_genus(empty)) == ((), 0)
 
+    def test_disconnected_map_declares_genus_zero(self, triangle):
+        two = _disjoint_union(triangle, triangle)
+        seven = CombinatorialMap(two.dart_count, two.alpha, two.sigma, 7)
+        with pytest.raises(BandlinkError, match="declared genus 7 but a disconnected map"):
+            validate(seven)
+        validate(seven, component_genera=[0, 0])
+
     def test_component_genera_checked(self, triangle, torus):
         mixed = _disjoint_union(triangle, torus)
         assert derived_genus(mixed) == 1
-        with pytest.raises(GenusMismatch):
+        with pytest.raises(BandlinkError, match=r"genera \(0, 1\) do not match expected \(0, 0\)"):
             validate(mixed)
         validate(mixed, component_genera=[0, 1])
-        with pytest.raises(GenusMismatch):
+        with pytest.raises(BandlinkError, match=r"genera \(0, 1\) do not match expected \(1, 0\)"):
             validate(mixed, component_genera=[1, 0])
-        with pytest.raises(GenusMismatch, match="2 components but 1 genera"):
+        with pytest.raises(BandlinkError, match="2 components but 1 genera"):
             validate(mixed, component_genera=[0])
 
 
@@ -211,9 +219,8 @@ class TestTextFormat:
         ],
     )
     def test_parse_errors(self, text, fragment):
-        with pytest.raises(CmapFormatError) as err:
+        with pytest.raises(BandlinkError, match=re.escape(fragment)):
             parse_cmap(text)
-        assert fragment in str(err.value)
 
 
 class TestRandomizedInvariants:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bandlink import close, faces, parse_trace, trace_to_json, verify_witness
-from bandlink.errors import UnknownVertex
+from bandlink.errors import BandlinkError
 from bandlink.percolation import Closure, format_trace
 from helpers import random_map, sequential_close
 
@@ -42,11 +42,11 @@ class TestTriangle:
 
 class TestArguments:
     def test_unknown_vertex_rejected(self, triangle):
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(BandlinkError, match=r"vertex 4 outside 1\.\.3"):
             close(triangle, faces(triangle), [4])
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(BandlinkError, match=r"vertex 0 outside 1\.\.3"):
             verify_witness(triangle, [0])
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(BandlinkError, match=r"vertex 99 outside 1\.\.3"):
             verify_witness(triangle, [1, 3, 99])
 
     def test_manual_may_repeat(self, triangle):
