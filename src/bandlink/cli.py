@@ -72,19 +72,19 @@ def _load(path: str, provenance: str | None = None, genera=None):
     return m, None
 
 
-def _parse_ints(values) -> list[int]:
+def _parse_ints(values, noun: str = "vertex id") -> list[int]:
     out = []
     for chunk in values or ():
         for tok in chunk.replace(",", " ").split():
             try:
                 out.append(int(tok))
             except ValueError:
-                raise BandlinkError(f"vertex id {clip_repr(tok)} is not an integer")
+                raise BandlinkError(f"{noun} {clip_repr(tok)} is not an integer")
     return out
 
 
 def _cmd_validate(args) -> int:
-    genera = _parse_ints(args.genera) if args.genera else None
+    genera = _parse_ints(args.genera, "genus") if args.genera else None
     m, bd = _load(args.path, genera=genera)
     line = (
         f"V={m.vertex_count} E={m.edge_count} F={len(faces(m))} "
@@ -280,6 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_render)
 
+    # Python 3.13's argparse wraps the usage differently, so it is spelled
+    # out as 3.10-3.12 wrap it: the same help bytes on every version.
+    pad = "\n" + " " * len("usage: bandlink ")
+    parser.usage = "%(prog)s [-h]" + pad + "{" + ",".join(sub.choices) + "}" + pad + "..."
     return parser
 
 

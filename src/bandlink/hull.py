@@ -25,6 +25,7 @@ searches, so it scales, but it only applies to band diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .band import BandDiagram
 from .cmap import CombinatorialMap, faces
@@ -132,12 +133,16 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     Starts from the smallest-id base-derived face and colors its corners one
     per untouched circle, skipping the largest-id corner (on a face whose m
     corners sit on m distinct circles this is exactly "all but one").  Then
-    repeatedly extends along a base-derived face whose colored corners form
-    one contiguous cyclic arc, again claiming one corner per untouched
-    circle, and recloses.  Twist crossings are never picked; they fill in
-    automatically once their circle is touched.  Raises ConstructionStuck
-    with the decision log when no face extends the region or the witness
-    does not come out at n - 1.
+    repeatedly extends along the lowest-id base-derived face whose colored
+    corners form one nonempty cyclic run and that still has a pick, again
+    claiming one corner per untouched circle, and recloses.  Twist crossings
+    are never picked; they fill in automatically once their circle is
+    touched.  Raises ConstructionStuck with the decision log when no face
+    extends the region or the witness does not come out at n - 1.
+
+    Candidate faces sit on a heap, pushed when a corner of theirs is colored.
+    A face that does not extend is dropped until then: its run and picks
+    depend only on its own corners and on the touched circles, which only grow.
     """
     m = bd.diagram
     if not m.is_connected():
@@ -152,46 +157,63 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     if not base_faces:
         raise ConstructionStuck("no base-derived faces to walk", ())
 
-    circle_vertices: list[list[int]] = [[] for _ in range(bd.n)]
-    for v in range(1, m.vertex_count + 1):
-        for c in bd.circles_of_vertex[v - 1]:
-            circle_vertices[c - 1].append(v)
+    circles_of = bd.circles_of_vertex
+    base_of: list[list[int]] = [[] for _ in range(m.vertex_count + 1)]
+    for i, f in enumerate(base_faces):
+        for v in f.distinct_vertices:
+            base_of[v].append(i)
     # One engine serves every start face: each attempt grows it with add()
-    # and is undone back to the empty coloring before the next.
+    # and resets it to the empty coloring before the next.  touched[c]
+    # says whether circle c has a colored vertex.
     engine = Closure(m.vertex_count, faces_list)
-    colored = engine.colored
+    colored, order = engine.colored, engine.order
+    touched = [False] * (bd.n + 1)
 
     def picks_along(face, positions, excluded: int | None) -> list[int]:
+        # No position holds a colored corner: pick one with a circle that
+        # is neither touched nor claimed by an earlier pick.
         picks: list[int] = []
+        claimed: set[int] = set()
         for pos in positions:
             v = face.vertex_list[pos]
-            if v == excluded or colored[v] or v in picks:
-                continue
-            if any(
-                not any(colored[u] or u in picks for u in circle_vertices[c - 1])
-                for c in bd.circles_of_vertex[v - 1]
+            if v != excluded and any(
+                not touched[c] and c not in claimed for c in circles_of[v - 1]
             ):
                 picks.append(v)
+                claimed.update(circles_of[v - 1])
         return picks
 
     def attempt(f0, log: list[str]) -> set[int] | None:
         """One pass of the walk from f0; None signals a dead end."""
-        engine.undo(0)
+        engine.reset()
+        touched[:] = [False] * len(touched)
+        heap: list[int] = []
+        queued = [False] * len(base_faces)
+        manual: set[int] = set()
         picks = picks_along(
             f0, range(len(f0.vertex_list)), max(f0.distinct_vertices)
         )
-        manual = set(picks)
         log.append(
             f"start face {f0.id}: color " + " ".join(str(v) for v in picks)
         )
-        engine.add(picks)
-        while len(engine.order) < m.vertex_count:
-            progressed = False
-            for f in base_faces:
-                flags = [colored[v] for v in f.vertex_list]
-                if all(flags):
-                    continue
-                run = _one_cyclic_run(flags)
+        while True:
+            manual.update(picks)
+            mark = len(order)
+            engine.add(picks)
+            for v in order[mark:]:
+                for c in circles_of[v - 1]:
+                    touched[c] = True
+                for i in base_of[v]:
+                    if not queued[i]:
+                        queued[i] = True
+                        heappush(heap, i)
+            if len(order) == m.vertex_count:
+                break
+            while heap:
+                i = heappop(heap)
+                queued[i] = False
+                f = base_faces[i]
+                run = _one_cyclic_run([colored[v] for v in f.vertex_list])
                 if run is None:
                     continue
                 start, length = run
@@ -200,18 +222,14 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
                     (start + length + j) % nf for j in range(nf - length)
                 ]
                 picks = picks_along(f, positions, None)
-                if not picks:
-                    continue
-                manual.update(picks)
-                log.append(
-                    f"face {f.id}: color " + " ".join(str(v) for v in picks)
-                )
-                engine.add(picks)
-                progressed = True
-                break
-            if not progressed:
+                if picks:
+                    break
+            else:
                 log.append(f"dead end from face {f0.id}")
                 return None
+            log.append(
+                f"face {f.id}: color " + " ".join(str(v) for v in picks)
+            )
         if len(manual) != bd.n - 1:
             log.append(
                 f"witness from face {f0.id} has {len(manual)} vertices, "

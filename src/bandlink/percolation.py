@@ -93,6 +93,7 @@ class Closure:
         self.colored = [False] * (vertex_count + 1)
         self.order: list[int] = []
         self.visits = len(faces_list)
+        self._empty = (self.count[:], self.sum[:], self.ready[:])
 
     def color(self, v: int) -> None:
         """Color one uncolored vertex, without running to the fixpoint."""
@@ -114,6 +115,12 @@ class Closure:
             f = self.ready.pop()
             if self.count[f] == 1:
                 self.color(self.sum[f])
+
+    def reset(self) -> None:
+        """Uncolor everything, restoring the state as built; ``visits`` stays."""
+        self.count[:], self.sum[:], self.ready[:] = self._empty
+        self.colored[:] = [False] * len(self.colored)
+        self.order.clear()
 
     def undo(self, mark: int) -> None:
         """Uncolor every vertex colored after ``len(order)`` was ``mark``."""

@@ -11,7 +11,8 @@ from itertools import combinations
 from pathlib import Path
 
 from bandlink import BandSpec, CombinatorialMap, derived_genus, faces
-from bandlink.errors import BandlinkError
+from bandlink.errors import BandlinkError, ConstructionStuck
+from bandlink.hull import HullResult, _one_cyclic_run
 from bandlink.percolation import Closure
 from bandlink.render import RADIUS, ROUNDS
 
@@ -236,6 +237,118 @@ def reference_exact(m: CombinatorialMap) -> tuple[int, tuple[int, ...], int]:
             else:
                 break
     raise AssertionError("the full vertex set failed to percolate")
+
+
+def reference_walk(bd):
+    """The constructive walk as ``hull_constructive_band`` ran it before the
+    face frontier: after every pick it rescans every base face in id order,
+    and each attempt undoes the engine back to the empty coloring.  Kept as
+    the differential oracle for the frontier's witnesses, logs and stuck
+    messages.
+    """
+    m = bd.diagram
+    if not m.is_connected():
+        raise ConstructionStuck(
+            "the chain walk needs a connected diagram", ("diagram is disconnected",)
+        )
+    if m.vertex_count == 0:
+        return HullResult((), "constructive")
+
+    faces_list = faces(m)
+    base_faces = [f for f in faces_list if bd.face_provenance[f.id - 1] is not None]
+    if not base_faces:
+        raise ConstructionStuck("no base-derived faces to walk", ())
+
+    circle_vertices: list[list[int]] = [[] for _ in range(bd.n)]
+    for v in range(1, m.vertex_count + 1):
+        for c in bd.circles_of_vertex[v - 1]:
+            circle_vertices[c - 1].append(v)
+    # One engine serves every start face: each attempt grows it with add()
+    # and is undone back to the empty coloring before the next.
+    engine = Closure(m.vertex_count, faces_list)
+    colored = engine.colored
+
+    def picks_along(face, positions, excluded: int | None) -> list[int]:
+        picks: list[int] = []
+        for pos in positions:
+            v = face.vertex_list[pos]
+            if v == excluded or colored[v] or v in picks:
+                continue
+            if any(
+                not any(colored[u] or u in picks for u in circle_vertices[c - 1])
+                for c in bd.circles_of_vertex[v - 1]
+            ):
+                picks.append(v)
+        return picks
+
+    def attempt(f0, log: list[str]) -> set[int] | None:
+        """One pass of the walk from f0; None signals a dead end."""
+        engine.undo(0)
+        picks = picks_along(
+            f0, range(len(f0.vertex_list)), max(f0.distinct_vertices)
+        )
+        manual = set(picks)
+        log.append(
+            f"start face {f0.id}: color " + " ".join(str(v) for v in picks)
+        )
+        engine.add(picks)
+        while len(engine.order) < m.vertex_count:
+            progressed = False
+            for f in base_faces:
+                flags = [colored[v] for v in f.vertex_list]
+                if all(flags):
+                    continue
+                run = _one_cyclic_run(flags)
+                if run is None:
+                    continue
+                start, length = run
+                nf = len(f.vertex_list)
+                positions = [
+                    (start + length + j) % nf for j in range(nf - length)
+                ]
+                picks = picks_along(f, positions, None)
+                if not picks:
+                    continue
+                manual.update(picks)
+                log.append(
+                    f"face {f.id}: color " + " ".join(str(v) for v in picks)
+                )
+                engine.add(picks)
+                progressed = True
+                break
+            if not progressed:
+                log.append(f"dead end from face {f0.id}")
+                return None
+        if len(manual) != bd.n - 1:
+            log.append(
+                f"witness from face {f0.id} has {len(manual)} vertices, "
+                f"expected {bd.n - 1}"
+            )
+            return None
+        return manual
+
+    # A start face whose corners all lie on distinct circles matches the
+    # generic picture ("m vertices, m circle components"); try those first,
+    # then every remaining start before conceding.
+    def generic(f) -> bool:
+        circles = {
+            c for v in f.distinct_vertices for c in bd.circles_of_vertex[v - 1]
+        }
+        return (
+            len(f.vertex_list) == len(f.distinct_vertices) == len(circles)
+        )
+
+    ordered = [f for f in base_faces if generic(f)] + [
+        f for f in base_faces if not generic(f)
+    ]
+    log: list[str] = []
+    for f0 in ordered:
+        manual = attempt(f0, log)
+        if manual is not None:
+            return HullResult(tuple(sorted(manual)), "constructive", 0, tuple(log))
+    raise ConstructionStuck(
+        "every start face led to a dead end", tuple(log)
+    )
 
 
 def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[float, float]]:

@@ -76,6 +76,14 @@ class TestValidate:
         assert captured.err == "error: per-component genera (0,) do not match expected (5,)\n"
         assert main(["validate", TORUS, "--genera", "1"]) == 0
 
+    def test_non_integer_genus_named_as_genus(self, capsys):
+        assert main(["validate", TRIANGLE, "--genera", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus 'x' is not an integer\n"
+        assert main(["percolate", TRIANGLE, "--manual", "x"]) == 2
+        assert capsys.readouterr().err == "error: vertex id 'x' is not an integer\n"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such.cmap"]) == 2
         assert "error:" in capsys.readouterr().err

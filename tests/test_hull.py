@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from bandlink import (
     build_band,
     hull_constructive_band,
     hull_exact,
+    load_band_spec,
     verify_witness,
 )
 from bandlink.errors import BudgetExceeded, ConstructionStuck
@@ -16,6 +19,7 @@ from helpers import (
     random_spec,
     reference_exact,
     reference_hull,
+    reference_walk,
     relabel,
 )
 
@@ -156,6 +160,73 @@ class TestConstructive:
             assert verify_witness(bd.diagram, constructive.witness)
             exact = hull_exact(bd.diagram, budget=400_000)
             assert exact.size == constructive.size
+
+
+def _bench_gen():
+    """bench/gen.py, the benchmark's own input generator, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConstructiveAgainstRescan:
+    """Same witness, log and stuck message as the walk that rescanned every
+    base face after each pick, before the face frontier replaced it."""
+
+    @staticmethod
+    def outcome(walk, bd):
+        try:
+            result = walk(bd)
+        except ConstructionStuck as err:
+            return "stuck", str(err), err.log
+        return "ok", result.witness, result.log
+
+    def assert_same(self, bd) -> str:
+        got = self.outcome(hull_constructive_band, bd)
+        assert got == self.outcome(reference_walk, bd)
+        return got[0]
+
+    def test_relabelled_chains(self):
+        rng = random.Random(91)
+        kinds = []
+        for k in (2, 3, 5, 6, 9, 12, 20, 40):
+            spec = chain_spec(k)
+            for _ in range(4):
+                base = relabel(rng, spec.base)
+                bd = build_band(BandSpec(base, spec.subdivisions, spec.twists))
+                kinds.append(self.assert_same(bd))
+        assert {"ok", "stuck"} <= set(kinds)
+
+    @pytest.mark.parametrize("genus, runs", [(0, 40), (1, 20)])
+    def test_fuzzed_bands(self, genus, runs):
+        rng = random.Random(93 + genus)
+        for _ in range(runs):
+            self.assert_same(build_band(random_spec(rng, cap=30, want_genus=genus)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_medial_twisted_bands(self, seed, tmp_path):
+        # The bands of the medial-twisted benchmark workload, drawn the way
+        # bench/workloads.py draws them: twisted plane bands and torus bands.
+        gen = _bench_gen()
+        rng = random.Random(seed)
+        kinds = []
+        for name, size, torus, double, twisted in (
+            ("p5", 5, False, 3, 8),
+            ("p6", 6, False, 4, 12),
+            ("t5a", 5, True, 0, 0),
+            ("t5b", 5, True, 0, 0),
+            ("t6", 6, True, 0, 0),
+        ):
+            spec = gen.medial_band(name, size, torus, rng, double, twisted)
+            spec.relabelled(rng).write(tmp_path)
+            bd = build_band(load_band_spec(tmp_path / f"{name}.json"))
+            kinds.append(self.assert_same(bd))
+        assert kinds[2:] == ["stuck"] * 3
+
+    def test_torus_fixture(self, torus_band):
+        assert self.assert_same(torus_band) == "stuck"
 
 
 class TestHigherGenus:

@@ -123,6 +123,27 @@ class TestEngine:
             fresh.add(())
             assert _engine_state(engine) == _engine_state(fresh)
 
+    def test_reset_matches_a_fresh_engine(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            m = random_map(rng)
+            engine = Closure(m.vertex_count, faces(m))
+            everybody = range(1, m.vertex_count + 1)
+            for _ in range(rng.randint(1, 6)):
+                if engine.order and rng.random() < 0.4:
+                    engine.undo(rng.randint(0, len(engine.order)))
+                else:
+                    engine.add(v for v in everybody if rng.random() < 0.2)
+            engine.reset()
+            fresh = Closure(m.vertex_count, faces(m))
+            assert _engine_state(engine) == _engine_state(fresh)
+            assert engine.order == fresh.order == []
+            manual = [v for v in everybody if rng.random() < 0.3]
+            engine.add(manual)
+            fresh.add(manual)
+            assert set(engine.order) == set(fresh.order)
+            assert _engine_state(engine) == _engine_state(fresh)
+
 
 class TestClosureProperties:
     def test_monotone_idempotent_schedule_free(self):
