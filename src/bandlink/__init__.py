@@ -10,7 +10,6 @@ from .band import (
     BandSpec,
     band_diagram_from_provenance,
     build_band,
-    census,
     load_band_spec,
     provenance_to_json,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ConstructionStuck",
     "band_diagram_from_provenance",
     "build_band",
-    "census",
     "close",
     "derived_genus",
     "faces",

@@ -279,7 +279,7 @@ def build_band(spec: BandSpec) -> BandDiagram:
     """Build the band diagram a spec describes, on the same surface.
 
     The builder checks its own output: Euler/genus per component of the
-    subdivided map and of the diagram, the vertex census 2C + 4H + sum(t),
+    subdivided map and of the diagram, the vertex count 2C + 4H + sum(t),
     one circle per 2-valent vertex, twists as self-crossings, and a bijection
     between base faces and the diagram faces inherited from them.
     """
@@ -307,7 +307,7 @@ def build_band(spec: BandSpec) -> BandDiagram:
     dl = b.finish(base.declared_genus)
 
     if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
-        raise RuntimeError("crossing census does not add up")
+        raise RuntimeError("crossing count does not add up")
 
     # Genus preservation, component by component: each diagram component
     # must carry the genus of the subdivided component its crossings came from.
@@ -354,75 +354,6 @@ def build_band(spec: BandSpec) -> BandDiagram:
         if cr.kind == KIND_TWIST and c0 != c1:
             raise RuntimeError(f"twist crossing {vid} is not a self-crossing")
     return bd
-
-
-# ---------------------------------------------------------------------------
-# Census: who crosses whom, and how.
-
-
-@dataclass(frozen=True)
-class CensusEntry:
-    other: int
-    points: int
-    kind: str
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    entries: tuple[tuple[CensusEntry, ...], ...]
-    self_crossings: tuple[int, ...]
-    warnings: tuple[str, ...]
-
-
-def census(bd: BandDiagram) -> CensusReport:
-    """Tally inter-circle crossing points per circle.
-
-    Clasps contribute 2 points to each of their two circles, hashes 4; twist
-    crossings are self-crossings and are tallied separately.  Deviations from
-    the generic picture (a circle meeting fewer than two distinct clasp
-    partners, or a clasp joining a circle to itself) are flagged as warnings,
-    not errors, because small diagrams genuinely produce them.
-    """
-    per_circle: list[list[CensusEntry]] = [[] for _ in range(bd.n)]
-    self_cross = [0] * bd.n
-    warnings: list[str] = []
-    groups: dict[tuple[str, int], list[int]] = {}
-    for vid, cr in enumerate(bd.crossing_kind, start=1):
-        groups.setdefault((cr.kind, cr.owner), []).append(vid)
-    for (kind, owner), vids in sorted(groups.items()):
-        circ = {bd.circles_of_vertex[v - 1] for v in vids}
-        if len(circ) != 1:
-            raise BandlinkError(
-                f"{kind} {owner} mixes circle pairs {sorted(circ)}"
-            )
-        a, c = circ.pop()
-        if kind == KIND_TWIST:
-            self_cross[a - 1] += len(vids)
-            continue
-        points = 2 if kind == KIND_CLASP else 4
-        if a == c:
-            warnings.append(f"{kind} {owner} joins circle {a} to itself")
-            per_circle[a - 1].append(CensusEntry(a, points, kind))
-            continue
-        per_circle[a - 1].append(CensusEntry(c, points, kind))
-        per_circle[c - 1].append(CensusEntry(a, points, kind))
-    for cid in range(1, bd.n + 1):
-        clasp_partners = [
-            e.other for e in per_circle[cid - 1] if e.kind == KIND_CLASP
-        ]
-        if len(clasp_partners) != 2:
-            warnings.append(
-                f"circle {cid} has {len(clasp_partners)} clasp ends instead of 2"
-            )
-        elif clasp_partners[0] == clasp_partners[1]:
-            warnings.append(
-                f"circle {cid} meets circle {clasp_partners[0]} at both clasp ends"
-            )
-    return CensusReport(
-        tuple(tuple(sorted(lst, key=lambda e: (e.kind, e.other))) for lst in per_circle),
-        tuple(self_cross),
-        tuple(warnings),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from .band import (
     provenance_to_json,
 )
 from .bounds import format_report, report, report_to_json
-from .cmap import (
-    faces,
-    format_cmap,
-    load_cmap,
-    strands,
-    validate,
-)
+from .cmap import derived_genus, faces, format_cmap, load_cmap, strands, validate
 from .errors import BandlinkError, ConstructionStuck, clip_repr
 from .hull import hull_constructive_band, hull_exact
 from .percolation import close, format_trace, parse_trace, trace_to_json
@@ -88,7 +82,7 @@ def _cmd_validate(args) -> int:
     m, bd = _load(args.path, genera=genera)
     line = (
         f"V={m.vertex_count} E={m.edge_count} F={len(faces(m))} "
-        f"g={sum(m.component_genera)}"
+        f"g={derived_genus(m)}"
     )
     if len(m.components) > 1:
         line += f" components={len(m.components)}"
@@ -241,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-band", help="build a band diagram from a spec")
     p.add_argument("path")
-    p.add_argument("-o", "--out", help="write the diagram as a .cmap file")
+    p.add_argument("-o", dest="out", help="write the diagram as a .cmap file")
     p.add_argument("--provenance", help="write the provenance sidecar JSON")
     p.set_defaults(func=_cmd_build_band)
 
@@ -254,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_hull_options(p):
         p.add_argument("path")
         p.add_argument("--provenance", help="sidecar JSON giving band context")
-        p.add_argument("--budget", type=_budget, default=None)
+        p.add_argument(
+            "--budget", type=_budget, help="exact search limit in face visits (default 10^8)"
+        )
 
     p = sub.add_parser("hull", help="find a minimum percolating set")
     add_hull_options(p)
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force the exhaustive search",
     )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="print the report as JSON")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("render", help="draw a genus zero map as SVG")
@@ -277,13 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     tint = p.add_mutually_exclusive_group()
     tint.add_argument("--trace", help="tint from a saved trace, checked by reclosing it")
     tint.add_argument("--manual", action="append", help="tint a fresh percolation run")
-    p.add_argument("-o", "--out", help="output file (default stdout)")
+    p.add_argument("-o", dest="out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_render)
 
-    # Python 3.13's argparse wraps the usage differently, so it is spelled
-    # out as 3.10-3.12 wrap it: the same help bytes on every version.
-    pad = "\n" + " " * len("usage: bandlink ")
-    parser.usage = "%(prog)s [-h]" + pad + "{" + ",".join(sub.choices) + "}" + pad + "..."
+    # Python 3.13's argparse wraps long usage lines differently, so they are
+    # spelled out as 3.10-3.12 wrap them: the same help bytes on every version.
+    def usage(cmd, *rows):
+        cmd.usage = "%(prog)s " + ("\n" + " " * len(f"usage: {cmd.prog} ")).join(rows)
+
+    usage(sub.choices["render"], "[-h] [--provenance PROVENANCE]",
+          "[--trace TRACE | --manual MANUAL] [-o OUT]", "path")
+    usage(parser, "[-h]", "{" + ",".join(sub.choices) + "}", "...")
     return parser
 
 

@@ -130,15 +130,17 @@ def _one_cyclic_run(flags: list[bool]) -> tuple[int, int] | None:
 def hull_constructive_band(bd: BandDiagram) -> HullResult:
     """Build an (n - 1)-vertex witness by walking base-derived faces.
 
-    Starts from the smallest-id base-derived face and colors its corners one
-    per untouched circle, skipping the largest-id corner (on a face whose m
-    corners sit on m distinct circles this is exactly "all but one").  Then
+    Starts from a base-derived face and colors its corners, skipping the
+    largest-id one.  Corners are read in order, and one with a circle that
+    is neither touched nor claimed by an earlier pick on that face is picked
+    and claims both its circles.  So a clasp corner whose two circles are
+    claimed is skipped even when it would join two separate groups of
+    circles, and a face can get fewer picks than all corners but one.  Then
     repeatedly extends along the lowest-id base-derived face whose colored
-    corners form one nonempty cyclic run and that still has a pick, again
-    claiming one corner per untouched circle, and recloses.  Twist crossings
-    are never picked; they fill in automatically once their circle is
-    touched.  Raises ConstructionStuck with the decision log when no face
-    extends the region or the witness does not come out at n - 1.
+    corners form one nonempty cyclic run and that still has a pick, and
+    recloses.  Twist crossings are never picked; they fill in once their
+    circle is touched.  Raises ConstructionStuck with the decision log when
+    no start face leads to a full coloring with an n - 1 vertex witness.
 
     Candidate faces sit on a heap, pushed when a corner of theirs is colored.
     A face that does not extend is dropped until then: its run and picks

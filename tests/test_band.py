@@ -9,7 +9,6 @@ from bandlink import (
     CombinatorialMap,
     band_diagram_from_provenance,
     build_band,
-    census,
     derived_genus,
     faces,
     format_cmap,
@@ -30,6 +29,15 @@ from helpers import (
     circle_map,
     random_spec,
 )
+
+
+def circle_pairs_by_owner(bd):
+    """The one circle pair each clasp, hash or twist segment joins."""
+    groups = {}
+    for cr, pair in zip(bd.crossing_kind, bd.circles_of_vertex):
+        groups.setdefault((cr.kind, cr.owner), set()).add(pair)
+    assert all(len(pairs) == 1 for pairs in groups.values()), groups
+    return {key: pairs.pop() for key, pairs in groups.items()}
 
 
 class TestCheckSpec:
@@ -126,14 +134,10 @@ class TestChainBands:
         assert chain3_band.n == 3
         assert not chain3_band.degenerate
 
-    def test_three_chain_census_is_clean(self, chain3_band):
-        rep = census(chain3_band)
-        assert rep.warnings == ()
-        assert rep.self_crossings == (0, 0, 0)
-        for cid, entries in enumerate(rep.entries, start=1):
-            partners = sorted(e.other for e in entries)
-            assert partners == sorted(set(range(1, 4)) - {cid})
-            assert all(e.points == 2 and e.kind == "clasp" for e in entries)
+    def test_three_chain_circles_clasp_each_other(self, chain3_band):
+        assert [c.kind for c in chain3_band.crossing_kind] == ["clasp"] * 6
+        pairs = circle_pairs_by_owner(chain3_band)
+        assert sorted(pairs.values()) == [(1, 2), (1, 3), (2, 3)]
 
     def test_face_provenance_is_injective(self, chain3_band):
         base_faces = [o for o in chain3_band.face_provenance if o is not None]
@@ -153,25 +157,22 @@ class TestCurlBand:
         assert curl_band.diagram.vertex_count == 8
         assert not curl_band.degenerate
 
-    def test_census_flags_double_clasping(self, curl_band):
-        rep = census(curl_band)
-        assert rep.warnings == (
-            "circle 1 meets circle 2 at both clasp ends",
-            "circle 2 meets circle 1 at both clasp ends",
-        )
-        assert rep.self_crossings == (0, 0)
-        kinds = [sorted((e.kind, e.points) for e in entries) for entries in rep.entries]
-        assert kinds == [
-            [("clasp", 2), ("clasp", 2), ("hash", 4)],
-            [("clasp", 2), ("clasp", 2), ("hash", 4)],
-        ]
+    def test_clasps_and_hash_join_the_same_circles(self, curl_band):
+        kinds = sorted(c.kind for c in curl_band.crossing_kind)
+        assert kinds == ["clasp"] * 4 + ["hash"] * 4
+        pairs = circle_pairs_by_owner(curl_band)
+        assert sorted(k for k, _ in pairs) == ["clasp", "clasp", "hash"]
+        assert set(pairs.values()) == {(1, 2)}
 
 
 class TestTwists:
     def test_twist_crossings_are_self_crossings(self, triangle):
         bd = build_band(BandSpec(triangle, (0, 0, 0), ((1,), (0,), (0,))))
         assert bd.diagram.vertex_count == 7
-        assert census(bd).self_crossings == (1, 0, 0)
+        (twist,) = [
+            vid for vid, c in enumerate(bd.crossing_kind, start=1) if c.kind == "twist"
+        ]
+        assert bd.circles_of_vertex[twist - 1] == (1, 1)
 
     def test_twists_preserve_components(self, triangle):
         plain = build_band(chain_spec(3))
@@ -186,8 +187,6 @@ class TestSelfClasps:
     def test_loop_band_is_degenerate(self, loop1):
         bd = build_band(BandSpec(loop1, (0,), ((0,),)))
         assert bd.degenerate
-        rep = census(bd)
-        assert "clasp 1 joins circle 1 to itself" in rep.warnings
 
     def test_torus_band_is_degenerate(self, torus_band):
         assert torus_band.degenerate

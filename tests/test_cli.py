@@ -21,6 +21,110 @@ CURLBAND = str(FIXTURES / "curlband.json")
 # A JSON array nested far deeper than the decoder's recursion limit.
 DEEP = "[" * 100_000 + "]" * 100_000
 
+# Every subcommand's --help, as CPython 3.10-3.13 all print it at 80 columns.
+HELP = {
+    "validate": """\
+usage: bandlink validate [-h] [--genera GENERA] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help       show this help message and exit
+  --genera GENERA  expected per-component genera for disconnected maps
+""",
+    "faces": """\
+usage: bandlink faces [-h] [--provenance PROVENANCE] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --provenance PROVENANCE
+                        sidecar JSON to annotate base faces
+""",
+    "strands": """\
+usage: bandlink strands [-h] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "build-band": """\
+usage: bandlink build-band [-h] [-o OUT] [--provenance PROVENANCE] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  -o OUT                write the diagram as a .cmap file
+  --provenance PROVENANCE
+                        write the provenance sidecar JSON
+""",
+    "percolate": """\
+usage: bandlink percolate [-h] [--manual MANUAL] [--trace TRACE] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help       show this help message and exit
+  --manual MANUAL  starting vertices, e.g. '1,4'
+  --trace TRACE    write the coloring trace (.json for JSON)
+""",
+    "hull": """\
+usage: bandlink hull [-h] [--provenance PROVENANCE] [--budget BUDGET]
+                     [--constructive]
+                     path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --provenance PROVENANCE
+                        sidecar JSON giving band context
+  --budget BUDGET       exact search limit in face visits (default 10^8)
+  --constructive        band chain walk
+""",
+    "report": """\
+usage: bandlink report [-h] [--provenance PROVENANCE] [--budget BUDGET]
+                       [--exact] [--json]
+                       path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --provenance PROVENANCE
+                        sidecar JSON giving band context
+  --budget BUDGET       exact search limit in face visits (default 10^8)
+  --exact               force the exhaustive search
+  --json                print the report as JSON
+""",
+    "render": """\
+usage: bandlink render [-h] [--provenance PROVENANCE]
+                       [--trace TRACE | --manual MANUAL] [-o OUT]
+                       path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --provenance PROVENANCE
+                        sidecar JSON to mark crossing kinds
+  --trace TRACE         tint from a saved trace, checked by reclosing it
+  --manual MANUAL       tint a fresh percolation run
+  -o OUT                output file (default stdout)
+""",
+}
+
 
 @pytest.fixture()
 def built(tmp_path):
@@ -522,6 +626,12 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["validate", TRIANGLE, "--frob"]) == 1
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == HELP[command]
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ SOURCES = FIXTURES.parent / "src" / "bandlink"
 
 PUBLIC_NAMES = [
     # README library section
-    "BandSpec", "build_band", "census", "faces", "hull_constructive_band",
+    "BandSpec", "build_band", "faces", "hull_constructive_band",
     "hull_exact", "load_cmap", "report",
     # what bench/ imports besides those
     "CombinatorialMap", "band_diagram_from_provenance", "close",
@@ -36,7 +36,7 @@ def fenced_block(section: str, lang: str) -> str:
 
 def test_public_names():
     assert sorted(bandlink.__all__) == sorted(PUBLIC_NAMES)
-    assert len(bandlink.__all__) == len(set(bandlink.__all__)) == 26
+    assert len(bandlink.__all__) == len(set(bandlink.__all__)) == 25
     exec(f"from bandlink import {', '.join(bandlink.__all__)}", {})
     # A subclass of BandlinkError exists only to carry data or an exit code.
     assert {c.__name__ for c in bandlink.BandlinkError.__subclasses__()} == {
