@@ -4,57 +4,39 @@ The names below are the library the README, the command line front end and
 the benchmark use.  Result and data types (``Face``, ``BandDiagram``,
 ``Coloring``, ``HullResult``, ``BoundsReport`` and the rest) live in their
 modules and are not re-exported.
+
+Importing the package loads none of its modules: each name is resolved from
+its home module on first use (PEP 562), so a short command line call pays
+only for the layers it runs.
 """
 
-from .band import (
-    BandSpec,
-    band_diagram_from_provenance,
-    build_band,
-    load_band_spec,
-    provenance_to_json,
-)
-from .bounds import format_report, report
-from .cmap import (
-    CombinatorialMap,
-    derived_genus,
-    faces,
-    format_cmap,
-    load_cmap,
-    parse_cmap,
-    strands,
-    validate,
-)
-from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
-from .hull import hull_constructive_band, hull_exact, verify_witness
-from .percolation import close, parse_trace, trace_to_json
-from .render import render_svg
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandSpec",
-    "BandlinkError",
-    "BudgetExceeded",
-    "CombinatorialMap",
-    "ConstructionStuck",
-    "band_diagram_from_provenance",
-    "build_band",
-    "close",
-    "derived_genus",
-    "faces",
-    "format_cmap",
-    "format_report",
-    "hull_constructive_band",
-    "hull_exact",
-    "load_band_spec",
-    "load_cmap",
-    "parse_cmap",
-    "parse_trace",
-    "provenance_to_json",
-    "render_svg",
-    "report",
-    "strands",
-    "trace_to_json",
-    "validate",
-    "verify_witness",
-]
+_HOMES = {
+    "band": (
+        "BandSpec", "band_diagram_from_provenance", "build_band",
+        "load_band_spec", "provenance_to_json",
+    ),
+    "bounds": ("format_report", "report"),
+    "cmap": (
+        "CombinatorialMap", "derived_genus", "faces", "format_cmap",
+        "load_cmap", "parse_cmap", "strands", "validate",
+    ),
+    "errors": ("BandlinkError", "BudgetExceeded", "ConstructionStuck"),
+    "hull": ("hull_constructive_band", "hull_exact", "verify_witness"),
+    "percolation": ("close", "parse_trace", "trace_to_json"),
+    "render": ("render_svg",),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

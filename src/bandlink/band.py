@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, load_cmap, validate
 from .errors import BandlinkError, clip_repr, json_typed
@@ -34,8 +33,7 @@ KINDS = (KIND_CLASP, KIND_HASH, KIND_TWIST)
 MAX_CROSSINGS = 10**6
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """Where a diagram vertex came from.
 
     clasp: owner = the 2-valent vertex, slot 1..2 along the first band arc.
@@ -48,7 +46,6 @@ class Crossing:
     slot: int
 
 
-@dataclass(frozen=True)
 class BandSpec:
     """Recipe for a band diagram.
 
@@ -59,14 +56,11 @@ class BandSpec:
     most ``MAX_CROSSINGS`` crossings.
     """
 
-    base: CombinatorialMap
-    subdivisions: tuple[int, ...]
-    twists: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "subdivisions", tuple(self.subdivisions))
-        object.__setattr__(self, "twists", tuple(tuple(t) for t in self.twists))
-        base = self.base
+    def __init__(self, base: CombinatorialMap, subdivisions: Sequence[int],
+                 twists: Sequence[Sequence[int]]):
+        self.base = base
+        self.subdivisions = tuple(subdivisions)
+        self.twists = tuple(tuple(t) for t in twists)
         validate(base)
         two, four = _check_valences(base)
         e_count = base.edge_count
@@ -100,18 +94,27 @@ class BandSpec:
         _check_crossings(2 * clasps + 4 * len(four) + sum(map(sum, self.twists)))
 
 
-@dataclass(frozen=True)
 class BandDiagram:
     """A built band diagram plus the provenance of its parts.
 
     Circles are the diagram's strands: circle i is strand i.  The circle
     count ``n``, ``circles_of_vertex`` and ``degenerate`` are derived from
-    the diagram on first use, never stored.
+    the diagram on first use, never stored.  Two diagrams are equal when
+    their map, crossings and face provenance are.
     """
 
-    diagram: CombinatorialMap
-    crossing_kind: tuple[Crossing, ...]
-    face_provenance: tuple[int | None, ...]
+    def __init__(self, diagram: CombinatorialMap, crossing_kind: tuple[Crossing, ...],
+                 face_provenance: tuple[int | None, ...]):
+        self.diagram = diagram
+        self.crossing_kind = crossing_kind
+        self.face_provenance = face_provenance
+
+    def __eq__(self, other):
+        if type(other) is not BandDiagram:
+            return NotImplemented
+        return (self.diagram, self.crossing_kind, self.face_provenance) == (
+            other.diagram, other.crossing_kind, other.face_provenance
+        )
 
     @property
     def n(self) -> int:

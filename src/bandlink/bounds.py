@@ -10,15 +10,14 @@ group rank n.  A larger witness only gives an interval.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .band import BandDiagram
 from .errors import BandlinkError
 from .hull import HullResult, verify_witness
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     lower: int
     upper: int

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage, 2 bad input or failed validation, 3 a clean
 negative answer (no percolation, or bounds that do not meet), 4 resource
 limits (search budget, stuck construction).  Outputs are byte stable so they
-can be diffed and golden-tested.
+can be diffed and golden-tested.  Each command imports only the layers it
+runs, so ``--help`` and a usage error load nothing but this module and the
+errors.
 """
 
 from __future__ import annotations
@@ -12,19 +14,7 @@ import argparse
 import sys
 from itertools import zip_longest
 
-from .band import (
-    BandDiagram,
-    band_diagram_from_provenance,
-    build_band,
-    load_band_spec,
-    provenance_to_json,
-)
-from .bounds import format_report, report, report_to_json
-from .cmap import derived_genus, faces, format_cmap, load_cmap, strands, validate
 from .errors import BandlinkError, ConstructionStuck, clip_repr
-from .hull import hull_constructive_band, hull_exact
-from .percolation import close, format_trace, parse_trace, trace_to_json
-from .render import render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,9 +39,12 @@ def _load(path: str, provenance: str | None = None, genera=None):
     A .json path is a band spec, built on the spot (the builder checks what
     it builds), and takes no sidecar; anything else is a .cmap file,
     validated here once against ``genera`` and optionally paired with a
-    provenance sidecar.  Nothing downstream validates again.
+    provenance sidecar.  Nothing downstream validates again.  The band layer
+    is imported only when a spec or a sidecar needs it.
     """
+    from .cmap import load_cmap, validate
     if path.endswith(".json"):
+        from .band import build_band, load_band_spec
         if provenance:
             raise BandlinkError("--provenance goes with a .cmap path, not a band spec")
         bd = build_band(load_band_spec(path))
@@ -61,6 +54,7 @@ def _load(path: str, provenance: str | None = None, genera=None):
     m = load_cmap(path)
     validate(m, genera)
     if provenance:
+        from .band import band_diagram_from_provenance
         with open(provenance, "r", encoding="utf-8") as fh:
             return m, band_diagram_from_provenance(m, fh.read())
     return m, None
@@ -78,6 +72,7 @@ def _parse_ints(values, noun: str = "vertex id") -> list[int]:
 
 
 def _cmd_validate(args) -> int:
+    from .cmap import derived_genus, faces
     genera = _parse_ints(args.genera, "genus") if args.genera else None
     m, bd = _load(args.path, genera=genera)
     line = (
@@ -93,6 +88,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_faces(args) -> int:
+    from .cmap import faces
     m, bd = _load(args.path, args.provenance)
     for f in faces(m):
         line = (
@@ -108,6 +104,7 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_strands(args) -> int:
+    from .cmap import strands
     m, _ = _load(args.path)
     for s in strands(m):
         print(f"strand {s.id}: " + " ".join(str(d) for d in s.darts))
@@ -115,6 +112,8 @@ def _cmd_strands(args) -> int:
 
 
 def _cmd_build_band(args) -> int:
+    from .band import build_band, load_band_spec, provenance_to_json
+    from .cmap import format_cmap
     bd = build_band(load_band_spec(args.path))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -127,6 +126,8 @@ def _cmd_build_band(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
+    from .cmap import faces
+    from .percolation import close, format_trace, trace_to_json
     m, _ = _load(args.path)
     manual = _parse_ints(args.manual)
     faces_list = faces(m)
@@ -147,13 +148,14 @@ def _cmd_percolate(args) -> int:
     return 0 if full else 3
 
 
-def _band(bd: BandDiagram | None, what: str) -> BandDiagram:
+def _band(bd, what: str):
     if bd is None:
         raise BandlinkError(f"{what} needs a band spec or --provenance")
     return bd
 
 
 def _cmd_hull(args) -> int:
+    from .hull import hull_constructive_band, hull_exact
     m, bd = _load(args.path, args.provenance)
     if args.constructive:
         result = hull_constructive_band(_band(bd, "hull --constructive"))
@@ -165,6 +167,8 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .bounds import format_report, report, report_to_json
+    from .hull import hull_constructive_band, hull_exact
     bd = _band(_load(args.path, args.provenance)[1], "report")
     if args.exact:
         result = hull_exact(bd.diagram, budget=args.budget)
@@ -184,6 +188,9 @@ def _refuse_difference(got: list[str], want: list[str], where: str) -> None:
 
 
 def _cmd_render(args) -> int:
+    from .cmap import faces
+    from .percolation import close, format_trace, parse_trace, trace_to_json
+    from .render import render_svg
     m, bd = _load(args.path, args.provenance)
     coloring = None
     if args.trace:

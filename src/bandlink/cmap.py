@@ -11,9 +11,8 @@ counts to the genus of the supporting surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BandlinkError, clip_repr
 
@@ -43,24 +42,21 @@ def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
     return cycles
 
 
-@dataclass(frozen=True)
 class CombinatorialMap:
     """An embedded graph given by its rotation system.
 
     ``alpha`` and ``sigma`` are image arrays: entry d-1 holds the image of
     dart d.  ``declared_genus`` is the genus the map claims to live on; it is
-    checked against Euler's formula by :func:`validate`.
+    checked against Euler's formula by :func:`validate`.  Two maps are equal
+    when these four fields are.
     """
 
-    dart_count: int
-    alpha: tuple[int, ...]
-    sigma: tuple[int, ...]
-    declared_genus: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        n = self.dart_count
+    def __init__(self, dart_count: int, alpha: Sequence[int], sigma: Sequence[int],
+                 declared_genus: int = 0):
+        self.dart_count = n = dart_count
+        self.alpha = tuple(alpha)
+        self.sigma = tuple(sigma)
+        self.declared_genus = declared_genus
         if n < 0 or n % 2:
             raise BandlinkError(f"dart count must be even and >= 0, got {clip_repr(n)}")
         for name, images in (("alpha", self.alpha), ("sigma", self.sigma)):
@@ -83,6 +79,17 @@ class CombinatorialMap:
                 )
         if self.declared_genus < 0:
             raise BandlinkError(f"declared genus {clip_repr(self.declared_genus)} is negative")
+
+    def _key(self) -> tuple:
+        return (self.dart_count, self.alpha, self.sigma, self.declared_genus)
+
+    def __eq__(self, other):
+        if type(other) is not CombinatorialMap:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -198,21 +205,20 @@ class CombinatorialMap:
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class Face:
     """One face of a map: a phi orbit with its vertex walk."""
 
-    id: int
-    boundary: tuple[int, ...]
-    vertex_list: tuple[int, ...]
+    def __init__(self, id: int, boundary: tuple[int, ...], vertex_list: tuple[int, ...]):
+        self.id = id
+        self.boundary = boundary
+        self.vertex_list = vertex_list
 
     @cached_property
     def distinct_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.vertex_list)))
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """A closed straight-ahead walk: the projection of one curve component.
 
     ``darts`` alternates an outgoing dart with the matching arrival dart, so

@@ -24,8 +24,8 @@ searches, so it scales, but it only applies to band diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .band import BandDiagram
 from .cmap import CombinatorialMap, faces
@@ -35,8 +35,7 @@ from .percolation import Closure, check_vertices
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class HullResult:
+class HullResult(NamedTuple):
     """A witness set and how it was found; ``report`` re-verifies the witness.
 
     ``examined`` counts the closure engine's face visits spent by the

@@ -15,20 +15,20 @@ per face a newly colored vertex touches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, Face
 from .errors import BandlinkError, clip_repr, json_typed
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Result of a percolation run.
 
     ``auto`` maps each automatically colored vertex to the step it was
     colored at (manual vertices are step 0).  Values are frozen after
-    construction and safe to share.
+    construction and safe to share: :func:`close` hands ``auto`` out as a
+    read-only mapping.
     """
 
     manual: frozenset[int]
@@ -49,17 +49,15 @@ class Coloring:
         return self.auto.get(v)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step: int
     vertex: int
     face: int
 
 
-@dataclass(frozen=True)
-class PercolationTrace:
+class PercolationTrace(NamedTuple):
     manual: tuple[int, ...]
-    entries: tuple[TraceEntry, ...] = field(default_factory=tuple)
+    entries: tuple[TraceEntry, ...] = ()
 
 
 def check_vertices(vertices: Iterable[int], vertex_count: int) -> frozenset[int]:
@@ -165,7 +163,7 @@ def close(
             auto[v] = step
             entries.append(TraceEntry(step, v, newly[v]))
             engine.color(v)
-    coloring = Coloring(manual_set, auto, m.vertex_count)
+    coloring = Coloring(manual_set, MappingProxyType(auto), m.vertex_count)
     return coloring, PercolationTrace(tuple(sorted(manual_set)), tuple(entries))
 
 

@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import bandlink
 from bandlink import load_cmap, parse_trace, trace_to_json, validate
 from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
@@ -632,6 +636,46 @@ class TestUsage:
         monkeypatch.setenv("COLUMNS", "80")
         assert main([command, "--help"]) == 0
         assert capsys.readouterr().out == HELP[command]
+
+
+def _fresh_modules(cwd, argv=None) -> set[str]:
+    """The modules a fresh interpreter holds after ``bandlink <argv>``, or
+    after nothing at all when ``argv`` is None."""
+    run = "from bandlink.cli import main; main(sys.argv[1:]); " if argv is not None else ""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; {run}print(*sys.modules)", *(argv or ())],
+        cwd=cwd, capture_output=True, text=True, timeout=60, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(bandlink.__file__).parents[1])),
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    """A call imports only the layers its command runs, and never dataclasses."""
+
+    CMAP_ONLY = {"bandlink", "bandlink.cli", "bandlink.cmap", "bandlink.errors"}
+    COMMANDS = [
+        (["--help"], CMAP_ONLY - {"bandlink.cmap"}),
+        (["validate", TRIANGLE], CMAP_ONLY),
+        (["faces", CURL], CMAP_ONLY),
+        (["strands", TRIANGLE], None),
+        (["build-band", CHAIN3, "-o", "out.cmap"], None),
+        (["percolate", TRIANGLE, "--manual", "1,3"], None),
+        (["hull", CHAIN3, "--constructive"], None),
+        (["report", CHAIN3], None),
+        (["render", TRIANGLE, "-o", "out.svg"], None),
+    ]
+
+    @pytest.fixture(scope="class")
+    def bare(self, tmp_path_factory):
+        return _fresh_modules(tmp_path_factory.mktemp("bare"))
+
+    @pytest.mark.parametrize("argv,own", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    def test_extra_modules(self, argv, own, bare, tmp_path):
+        extra = _fresh_modules(tmp_path, argv) - bare
+        assert "bandlink.cli" in extra and "dataclasses" not in extra
+        if own is not None:
+            assert {name for name in extra if name.startswith("bandlink")} == own
 
 
 class TestDeterminism:

@@ -8,13 +8,14 @@ from bandlink import (
     derived_genus,
     faces,
     format_cmap,
+    load_cmap,
     parse_cmap,
     strands,
     validate,
 )
 from bandlink.cmap import cycles_of_images
 from bandlink.errors import BandlinkError
-from helpers import HUGE, random_map, relabel
+from helpers import FIXTURES, HUGE, random_map, relabel
 
 
 class TestPermutationHelpers:
@@ -151,6 +152,14 @@ class TestTextFormat:
         path.write_text(format_cmap(triangle))
         again = parse_cmap(path.read_text())
         assert again == triangle
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(FIXTURES.glob("*.cmap"))])
+    def test_reparsed_maps_compare_and_hash_by_value(self, name):
+        m = load_cmap(FIXTURES / name)
+        again = parse_cmap(format_cmap(m))
+        assert again is not m
+        assert again == m and hash(again) == hash(m)
+        assert m != CombinatorialMap(m.dart_count, m.alpha, m.sigma, m.declared_genus + 1)
 
     def test_format_layout(self, curl):
         assert format_cmap(curl) == (

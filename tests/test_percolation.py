@@ -39,6 +39,12 @@ class TestTriangle:
         assert trace.entries[0].vertex == 2
         assert trace.entries[0].face == 1
 
+    def test_coloring_is_read_only(self, triangle):
+        coloring, _ = close(triangle, faces(triangle), [1, 2])
+        with pytest.raises(TypeError):
+            coloring.auto[3] = 9
+        assert coloring.step_of(3) == 1
+
 
 class TestArguments:
     def test_unknown_vertex_rejected(self, triangle):

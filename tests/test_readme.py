@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import re
 import shlex
 import shutil
+
+import pytest
 
 import bandlink
 from bandlink.cli import build_parser, main
@@ -43,6 +46,16 @@ def test_public_names():
         "BudgetExceeded",
         "ConstructionStuck",
     }
+
+
+def test_public_names_resolve_to_their_home_objects():
+    for name in bandlink.__all__:
+        obj = getattr(bandlink, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("bandlink.") and getattr(home, name) is obj, name
+    assert bandlink.faces is bandlink.cmap.faces
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bandlink.no_such_name
 
 
 def test_library_example(monkeypatch):
