@@ -188,12 +188,12 @@ def _refuse_difference(got: list[str], want: list[str], where: str) -> None:
 
 
 def _cmd_render(args) -> int:
-    from .cmap import faces
-    from .percolation import close, format_trace, parse_trace, trace_to_json
     from .render import render_svg
     m, bd = _load(args.path, args.provenance)
     coloring = None
     if args.trace:
+        from .cmap import faces
+        from .percolation import close, format_trace, parse_trace, trace_to_json
         with open(args.trace, "r", encoding="utf-8") as fh:
             text = fh.read()
         recorded = parse_trace(text)
@@ -208,6 +208,8 @@ def _cmd_render(args) -> int:
         written = trace_to_json(trace) if text.strip().startswith("{") else format_trace(trace)
         _refuse_difference(text.split("\n"), written.split("\n"), "percolate --trace writes")
     elif args.manual is not None:
+        from .cmap import faces
+        from .percolation import close
         coloring, _ = close(m, faces(m), _parse_ints(args.manual))
     svg = render_svg(m, coloring=coloring, band=bd)
     if args.out:

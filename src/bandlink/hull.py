@@ -25,12 +25,14 @@ searches, so it scales, but it only applies to band diagrams.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .band import BandDiagram
 from .cmap import CombinatorialMap, faces
 from .errors import BudgetExceeded, ConstructionStuck
 from .percolation import Closure, check_vertices
+
+if TYPE_CHECKING:
+    from .band import BandDiagram
 
 DEFAULT_BUDGET = 10**8
 

@@ -10,24 +10,36 @@ The bytes depend on the order of the float operations, which is fixed: the
 relaxation is Gauss-Seidel in ascending vertex id, and each vertex sums the
 x and the y of its neighbors, separately, in rotation order with the
 builtin ``sum``, then divides each by its degree.
+
+No x ever reads a y, so all of x is relaxed before all of y.  A component
+with at least ``FORK_MIN_ROWS`` inner vertices relaxes its y in a forked
+child while x runs here, when ``os.fork`` exists and no other thread runs;
+the child sends back the exact doubles, and if it cannot, y is relaxed here.
+Either way the floats, and so the bytes, are the same.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+from array import array
 from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .band import BandDiagram, KIND_CLASP, KIND_TWIST
 from .cmap import CombinatorialMap, Face
 from .errors import BandlinkError
-from .percolation import Coloring
+
+if TYPE_CHECKING:
+    from .band import BandDiagram
+    from .percolation import Coloring
 
 RADIUS = 120.0
 MARGIN = 40.0
 ROUNDS = 400
-
-_KIND_STROKE = {KIND_CLASP: "#c0392b", KIND_TWIST: "#8e44ad"}
+# Below this many inner vertices the copy-on-write faults after a fork cost
+# more than the child saves.
+FORK_MIN_ROWS = 1000
 
 
 def _require_planar(m: CombinatorialMap) -> None:
@@ -68,11 +80,63 @@ def _component_layout(
     for v in inner:
         near = [m.vertex_of[m.alpha[d - 1] - 1] for d in m.vertex_cycles[v - 1]]
         rows.append((v, itemgetter(0, *near), len(near)))
+    _relax_xy(xs, ys, rows)
+    return {v: (xs[v], ys[v]) for v in rim + inner}
+
+
+def _relax(cs: list[float], rows: list) -> list[float]:
     for _ in range(ROUNDS):
         for v, near, k in rows:
-            xs[v] = sum(near(xs)) / k
-            ys[v] = sum(near(ys)) / k
-    return {v: (xs[v], ys[v]) for v in rim + inner}
+            cs[v] = sum(near(cs)) / k
+    return cs
+
+
+def _relax_xy(xs: list[float], ys: list[float], rows: list) -> None:
+    """Relax ``xs`` here and ``ys`` in a forked child, or both here."""
+    threading = sys.modules.get("threading")
+    if (
+        len(rows) < FORK_MIN_ROWS
+        or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        _relax(xs, rows)
+        _relax(ys, rows)
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        _relax(xs, rows)
+        _relax(ys, rows)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.write(array("d", _relax(ys, rows)).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+    with open(r, "rb") as fh:
+        try:
+            _relax(xs, rows)
+            data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if status == 0 and len(data) == 8 * len(ys):
+        ys[:] = array("d", data)
+    else:
+        _relax(ys, rows)
 
 
 def _fmt(x: float) -> str:
@@ -175,6 +239,10 @@ def render_svg(
                 f"<title>edge {eid}</title></path>"
             )
 
+    if band is not None:
+        from .band import KIND_CLASP, KIND_TWIST
+
+        kind_stroke = {KIND_CLASP: "#c0392b", KIND_TWIST: "#8e44ad"}
     max_step = 0
     if coloring is not None and coloring.auto:
         max_step = max(coloring.auto.values())
@@ -191,7 +259,7 @@ def render_svg(
         title = f"vertex {v}"
         if band is not None:
             cr = band.crossing_kind[v - 1]
-            stroke = _KIND_STROKE.get(cr.kind, stroke)
+            stroke = kind_stroke.get(cr.kind, stroke)
             title = f"vertex {v}: {cr.kind} {cr.owner} slot {cr.slot}"
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '

@@ -1,9 +1,24 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from bandlink import BandSpec, build_band, load_band_spec, load_cmap
 from helpers import FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A child process left unreaped fails its test, as an open file does."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture(scope="session")

@@ -354,8 +354,8 @@ def reference_walk(bd):
 def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[float, float]]:
     """Vertex positions of one component, as ``render`` computed them on dicts.
 
-    The relaxation ``render._component_layout`` used before it moved to a
-    flat list of complex positions: rim on a circle, then ``ROUNDS``
+    The relaxation ``render._component_layout`` used before it moved to two
+    flat float lists, one for x and one for y: rim on a circle, then ``ROUNDS``
     Gauss-Seidel rounds in ascending vertex id, each vertex set to the mean
     of its neighbours in rotation order.  Kept as a differential oracle.
     """

@@ -663,14 +663,21 @@ class TestStartup:
         (["percolate", TRIANGLE, "--manual", "1,3"], None),
         (["hull", CHAIN3, "--constructive"], None),
         (["report", CHAIN3], None),
-        (["render", TRIANGLE, "-o", "out.svg"], None),
+        (["render", TRIANGLE, "-o", "out.svg"], CMAP_ONLY | {"bandlink.render"}),
     ]
 
     @pytest.fixture(scope="class")
     def bare(self, tmp_path_factory):
         return _fresh_modules(tmp_path_factory.mktemp("bare"))
 
-    @pytest.mark.parametrize("argv,own", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    # A hull on a map, not a band, never loads the band layer.
+    HULL_CMAP = CMAP_ONLY | {"bandlink.hull", "bandlink.percolation"}
+
+    @pytest.mark.parametrize(
+        "argv,own",
+        [pytest.param(argv, own, id=argv[0]) for argv, own in COMMANDS]
+        + [pytest.param(["hull", TORUS], HULL_CMAP, id="hull-cmap")],
+    )
     def test_extra_modules(self, argv, own, bare, tmp_path):
         extra = _fresh_modules(tmp_path, argv) - bare
         assert "bandlink.cli" in extra and "dataclasses" not in extra

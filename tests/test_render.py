@@ -1,8 +1,9 @@
+import os
 import random
 
 import pytest
 
-from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
+from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render, render_svg
 from bandlink.errors import BandlinkError
 from bandlink.render import _component_layout
 from helpers import circle_map, random_map, random_spec, reference_layout
@@ -94,23 +95,36 @@ def _pendant_and_loop() -> CombinatorialMap:
     return CombinatorialMap(26, tuple(alpha), tuple(sigma), 0)
 
 
+def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
+    rng = random.Random(55)
+    maps = [triangle, curl, loop1, chain2_base, _two_triangles(triangle), _pendant_and_loop()]
+    maps += [circle_map(n) for n in range(1, 10)]
+    maps += [
+        build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram
+        for _ in range(30)
+    ]
+    maps += [random_map(rng) for _ in range(50)]
+    return maps
+
+
+def _assert_layouts_match(maps) -> None:
+    for m in maps:
+        for comp in m.components:
+            got = _component_layout(m, comp, m.faces)
+            assert got == reference_layout(m, comp, m.faces)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestLayout:
     def test_matches_the_dict_relaxation(self, triangle, curl, loop1, chain2_base):
-        hub = _pendant_and_loop()
-        rng = random.Random(55)
-        maps = [triangle, curl, loop1, chain2_base, _two_triangles(triangle), hub]
-        maps += [circle_map(n) for n in range(1, 10)]
-        maps += [
-            build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram
-            for _ in range(30)
-        ]
-        maps += [random_map(rng) for _ in range(50)]
-        for m in maps:
-            for comp in m.components:
-                got = _component_layout(m, comp, m.faces)
-                assert got == reference_layout(m, comp, m.faces)
+        _assert_layouts_match(_layout_maps(triangle, curl, loop1, chain2_base))
 
         # The hand-built map relaxes a degree-1 vertex and a looped vertex.
+        hub = _pendant_and_loop()
         pos = _component_layout(hub, hub.components[0], hub.faces)
         rim = max(hub.faces, key=lambda f: (len(f.boundary), -f.id)).vertex_list
         inner = set(pos) - set(rim)
@@ -118,3 +132,61 @@ class TestLayout:
         assert sorted(valence.values()) == [1, 6]
         assert hub.vertex_count == 10 and len(rim) == 8
         assert derived_genus(hub) == 0
+
+
+class TestForkedLayout:
+    """With the gate at 0 every component relaxes its y in a forked child."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(render, "FORK_MIN_ROWS", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    def test_matches_the_dict_relaxation(self, forks, triangle, curl, loop1, chain2_base):
+        maps = _layout_maps(triangle, curl, loop1, chain2_base)
+        _assert_layouts_match(maps)
+        assert len(forks) == sum(len(m.components) for m in maps)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["fork-raises", "child-exits-1", "child-sends-nothing"])
+    def test_a_failed_child_gives_the_same_layout(self, monkeypatch, failure):
+        real_fork = os.fork
+
+        def fork():
+            if failure == "fork-raises":
+                raise OSError("fork refused")
+            pid = real_fork()
+            if pid == 0:
+                os._exit(1 if failure == "child-exits-1" else 0)
+            return pid
+
+        monkeypatch.setattr(render, "FORK_MIN_ROWS", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        rng = random.Random(8)
+        maps = [_pendant_and_loop()]
+        maps += [build_band(random_spec(rng, cap=26)).diagram for _ in range(3)]
+        _assert_layouts_match(maps)
+        _assert_no_child_left()
+
+    def test_the_child_is_reaped_when_the_parent_raises(self, forks, monkeypatch):
+        real_relax, parent = render._relax, os.getpid()
+
+        def relax(cs, rows):
+            if os.getpid() == parent:
+                raise RuntimeError("interrupted")
+            return real_relax(cs, rows)
+
+        monkeypatch.setattr(render, "_relax", relax)
+        hub = _pendant_and_loop()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _component_layout(hub, hub.components[0], hub.faces)
+        assert len(forks) == 1
+        _assert_no_child_left()
