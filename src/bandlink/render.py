@@ -7,24 +7,22 @@ visible.  The output is byte stable: fixed iteration count, coordinates
 rounded before writing, components laid side by side in dart order.
 
 The bytes depend on the order of the float operations, which is fixed: the
-relaxation is Gauss-Seidel in ascending vertex id, and each vertex sums the
-x and the y of its neighbors, separately, in rotation order with the
-builtin ``sum``, then divides each by its degree.
+relaxation is Gauss-Seidel in ascending vertex id, and each vertex adds its
+neighbors' points left to right in rotation order, in double precision,
+then divides by its degree.
 
-No x ever reads a y, so all of x is relaxed before all of y.  A component
-with at least ``FORK_MIN_ROWS`` inner vertices relaxes its y in a forked
-child while x runs here, when ``os.fork`` exists and no other thread runs;
-the child sends back the exact doubles, and if it cannot, y is relaxed here.
-Either way the floats, and so the bytes, are the same.
+Each point is one complex number ``x + iy``.  Complex addition is two
+float additions, and dividing by an integer ``k`` divides each part by
+``k``; the ``0j`` that pads a row and the division (CPython divides by
+``k + 0j``) change at most the sign of a zero, which ``_fmt`` folds.  So
+x and y are two independent relaxations with exactly those floats.  No
+step uses the builtin ``sum``, which compensates float sums from CPython
+3.12 on.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
-from array import array
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cmap import CombinatorialMap, Face
@@ -37,9 +35,6 @@ if TYPE_CHECKING:
 RADIUS = 120.0
 MARGIN = 40.0
 ROUNDS = 400
-# Below this many inner vertices the copy-on-write faults after a fork cost
-# more than the child saves.
-FORK_MIN_ROWS = 1000
 
 
 def _require_planar(m: CombinatorialMap) -> None:
@@ -66,77 +61,27 @@ def _component_layout(
     for v in outer.vertex_list:
         if v not in rim:
             rim.append(v)
-    # One x and one y slot per vertex id.  Slot 0 stays 0.0: every row reads
-    # it first, so each ``sum`` adds the same floats in the same order as a
-    # sum over the neighbours alone, and a degree-1 row still gets a tuple
-    # from its itemgetter.
-    xs = [0.0] * (m.vertex_count + 1)
-    ys = [0.0] * (m.vertex_count + 1)
+    # One point per vertex id.  Slot 0 stays 0j and pads every row to four
+    # neighbours; slot V + 1 carries the partial sum of a vertex of higher
+    # degree from one row to the next.
+    zs = [0j] * (m.vertex_count + 2)
+    carry = m.vertex_count + 1
     for i, v in enumerate(rim):
         ang = -math.pi / 2 + 2 * math.pi * i / len(rim)
-        xs[v], ys[v] = RADIUS * math.cos(ang), RADIUS * math.sin(ang)
+        zs[v] = complex(RADIUS * math.cos(ang), RADIUS * math.sin(ang))
     inner = sorted({m.vertex_of[d - 1] for d in comp} - set(rim))
     rows = []
     for v in inner:
         near = [m.vertex_of[m.alpha[d - 1] - 1] for d in m.vertex_cycles[v - 1]]
-        rows.append((v, itemgetter(0, *near), len(near)))
-    _relax_xy(xs, ys, rows)
-    return {v: (xs[v], ys[v]) for v in rim + inner}
-
-
-def _relax(cs: list[float], rows: list) -> list[float]:
+        k = len(near)
+        while len(near) > 4:
+            rows.append((carry, 1, *near[:4]))
+            near[:4] = [carry]
+        rows.append((v, k, *near, *(0,) * (4 - len(near))))
     for _ in range(ROUNDS):
-        for v, near, k in rows:
-            cs[v] = sum(near(cs)) / k
-    return cs
-
-
-def _relax_xy(xs: list[float], ys: list[float], rows: list) -> None:
-    """Relax ``xs`` here and ``ys`` in a forked child, or both here."""
-    threading = sys.modules.get("threading")
-    if (
-        len(rows) < FORK_MIN_ROWS
-        or not hasattr(os, "fork")
-        or (threading is not None and threading.active_count() > 1)
-    ):
-        _relax(xs, rows)
-        _relax(ys, rows)
-        return
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        _relax(xs, rows)
-        _relax(ys, rows)
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                fh.write(array("d", _relax(ys, rows)).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    status = None
-    with open(r, "rb") as fh:
-        try:
-            _relax(xs, rows)
-            data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-        finally:
-            if status is None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if status == 0 and len(data) == 8 * len(ys):
-        ys[:] = array("d", data)
-    else:
-        _relax(ys, rows)
+        for v, k, a, b, c, d in rows:
+            zs[v] = (zs[a] + zs[b] + zs[c] + zs[d]) / k
+    return {v: (zs[v].real, zs[v].imag) for v in rim + inner}
 
 
 def _fmt(x: float) -> str:

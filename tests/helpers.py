@@ -354,10 +354,15 @@ def reference_walk(bd):
 def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[float, float]]:
     """Vertex positions of one component, as ``render`` computed them on dicts.
 
-    The relaxation ``render._component_layout`` used before it moved to two
-    flat float lists, one for x and one for y: rim on a circle, then ``ROUNDS``
+    The relaxation ``render._component_layout`` used before it moved to
+    complex points in flat rows: rim on a circle, then ``ROUNDS``
     Gauss-Seidel rounds in ascending vertex id, each vertex set to the mean
     of its neighbours in rotation order.  Kept as a differential oracle.
+
+    Each mean adds the neighbours' x (and, apart, their y) left to right in
+    an explicit loop, not with the builtin ``sum``: from CPython 3.12 on
+    ``sum`` compensates float sums, so its floats would depend on the
+    interpreter, while plain left-to-right doubles are the same on all.
     """
     comp_set = set(comp)
     comp_faces = [f for f in faces_list if f.boundary[0] in comp_set]
@@ -379,7 +384,9 @@ def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[f
             neighbors[v].append(m.vertex_of[m.alpha[d - 1] - 1])
     for _ in range(ROUNDS):
         for v in inner:
-            xs = [pos[u][0] for u in neighbors[v]]
-            ys = [pos[u][1] for u in neighbors[v]]
-            pos[v] = (sum(xs) / len(xs), sum(ys) / len(ys))
+            x = y = 0.0
+            for u in neighbors[v]:
+                x += pos[u][0]
+                y += pos[u][1]
+            pos[v] = (x / len(neighbors[v]), y / len(neighbors[v]))
     return pos

@@ -1,9 +1,8 @@
-import os
 import random
 
 import pytest
 
-from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render, render_svg
+from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import BandlinkError
 from bandlink.render import _component_layout
 from helpers import circle_map, random_map, random_spec, reference_layout
@@ -95,9 +94,30 @@ def _pendant_and_loop() -> CombinatorialMap:
     return CombinatorialMap(26, tuple(alpha), tuple(sigma), 0)
 
 
+def _wheel(n: int) -> CombinatorialMap:
+    """An n-gon with one hub inside joined to every rim vertex.
+
+    The hub is the only relaxed vertex, and its degree n above four makes
+    its sum run over carry rows.  Rim edge i has darts 2i-1 (at R_i) and 2i
+    (at R_i+1), spoke i darts 2(n+i)-1 (at the hub) and 2(n+i) (at R_i).
+    """
+    rotations = [(2 * i - 1, 2 * (n + i), 2 * (i - 1 or n)) for i in range(1, n + 1)]
+    rotations.append(tuple(2 * (n + i) - 1 for i in range(1, n + 1)))
+    sigma = [0] * (4 * n)
+    for cycle in rotations:
+        for i, d in enumerate(cycle):
+            sigma[d - 1] = cycle[(i + 1) % len(cycle)]
+    alpha = [d + 1 if d % 2 else d - 1 for d in range(1, 4 * n + 1)]
+    return CombinatorialMap(4 * n, tuple(alpha), tuple(sigma), 0)
+
+
+WHEEL_HUBS = (5, 9, 17)
+
+
 def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
     rng = random.Random(55)
     maps = [triangle, curl, loop1, chain2_base, _two_triangles(triangle), _pendant_and_loop()]
+    maps += [_wheel(n) for n in WHEEL_HUBS]
     maps += [circle_map(n) for n in range(1, 10)]
     maps += [
         build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram
@@ -114,11 +134,6 @@ def _assert_layouts_match(maps) -> None:
             assert got == reference_layout(m, comp, m.faces)
 
 
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestLayout:
     def test_matches_the_dict_relaxation(self, triangle, curl, loop1, chain2_base):
         _assert_layouts_match(_layout_maps(triangle, curl, loop1, chain2_base))
@@ -133,60 +148,11 @@ class TestLayout:
         assert hub.vertex_count == 10 and len(rim) == 8
         assert derived_genus(hub) == 0
 
-
-class TestForkedLayout:
-    """With the gate at 0 every component relaxes its y in a forked child."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls = []
-        real_fork = os.fork
-
-        def fork():
-            calls.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(render, "FORK_MIN_ROWS", 0)
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
-    def test_matches_the_dict_relaxation(self, forks, triangle, curl, loop1, chain2_base):
-        maps = _layout_maps(triangle, curl, loop1, chain2_base)
-        _assert_layouts_match(maps)
-        assert len(forks) == sum(len(m.components) for m in maps)
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("failure", ["fork-raises", "child-exits-1", "child-sends-nothing"])
-    def test_a_failed_child_gives_the_same_layout(self, monkeypatch, failure):
-        real_fork = os.fork
-
-        def fork():
-            if failure == "fork-raises":
-                raise OSError("fork refused")
-            pid = real_fork()
-            if pid == 0:
-                os._exit(1 if failure == "child-exits-1" else 0)
-            return pid
-
-        monkeypatch.setattr(render, "FORK_MIN_ROWS", 0)
-        monkeypatch.setattr(os, "fork", fork)
-        rng = random.Random(8)
-        maps = [_pendant_and_loop()]
-        maps += [build_band(random_spec(rng, cap=26)).diagram for _ in range(3)]
-        _assert_layouts_match(maps)
-        _assert_no_child_left()
-
-    def test_the_child_is_reaped_when_the_parent_raises(self, forks, monkeypatch):
-        real_relax, parent = render._relax, os.getpid()
-
-        def relax(cs, rows):
-            if os.getpid() == parent:
-                raise RuntimeError("interrupted")
-            return real_relax(cs, rows)
-
-        monkeypatch.setattr(render, "_relax", relax)
-        hub = _pendant_and_loop()
-        with pytest.raises(RuntimeError, match="interrupted"):
-            _component_layout(hub, hub.components[0], hub.faces)
-        assert len(forks) == 1
-        _assert_no_child_left()
+        # Each wheel relaxes one hub whose sum runs over carry rows.
+        for n in WHEEL_HUBS:
+            wheel = _wheel(n)
+            pos = _component_layout(wheel, wheel.components[0], wheel.faces)
+            rim = max(wheel.faces, key=lambda f: (len(f.boundary), -f.id)).vertex_list
+            [hub] = set(pos) - set(rim)
+            assert len(wheel.vertex_cycles[hub - 1]) == n and len(rim) == n
+            assert derived_genus(wheel) == 0
