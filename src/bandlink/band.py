@@ -288,7 +288,7 @@ def build_band(spec: BandSpec) -> BandDiagram:
     """
     base = spec.base
     m, segments = _subdivide(base, spec.subdivisions)
-    validate(m, base.component_genera if len(base.components) > 1 else None)
+    validate(m)
     two, four = _check_valences(m)
 
     seg_twist: dict[tuple[int, int], int] = {}
@@ -312,26 +312,15 @@ def build_band(spec: BandSpec) -> BandDiagram:
     if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
         raise RuntimeError("crossing count does not add up")
 
-    # Genus preservation, component by component: each diagram component
-    # must carry the genus of the subdivided component its crossings came from.
-    if len(dl.components) != len(m.components):
+    # Genus preservation: a disconnected base is all spheres (BandSpec
+    # validated it), so checking the diagram against its declared genus and
+    # the base's component count checks every component.
+    if not len(dl.components) == len(m.components) == len(base.components):
         raise BandlinkError(
             f"band diagram has {len(dl.components)} components but the base "
-            f"has {len(m.components)}"
+            f"has {len(base.components)}"
         )
-    genus_of_dart = [0] * (m.dart_count + 1)
-    for comp, g in zip(m.components, m.component_genera):
-        for d in comp:
-            genus_of_dart[d] = g
-
-    def owner_genus(dl_dart: int) -> int:
-        cr = b.crossings[(dl_dart - 1) // 4]
-        if cr.kind == KIND_TWIST:
-            return genus_of_dart[m.edge_pairs[cr.owner - 1][0]]
-        return genus_of_dart[m.vertex_cycles[cr.owner - 1][0]]
-
-    expected_genera = tuple(owner_genus(comp[0]) for comp in dl.components)
-    validate(dl, expected_genera if len(dl.components) > 1 else None)
+    validate(dl)
 
     face_of_dart = {}
     for f in dl.faces:
@@ -375,8 +364,8 @@ def load_band_spec(path) -> BandSpec:
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandlinkError(f"{path}: missing 'map' entry")
     map_path = doc["map"]
-    if not isinstance(map_path, str):
-        raise BandlinkError(f"{path}: 'map' must be a path string")
+    if not isinstance(map_path, str) or "\0" in map_path:
+        raise BandlinkError(f"{path}: 'map' must be a path string without NUL")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise BandlinkError(f"{path}: 'edges' must be a list")

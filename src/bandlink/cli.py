@@ -33,14 +33,14 @@ def _budget(text: str) -> int:
     return value
 
 
-def _load(path: str, provenance: str | None = None, genera=None):
+def _load(path: str, provenance: str | None = None):
     """Resolve a map argument to (map, band context or None).
 
     A .json path is a band spec, built on the spot (the builder checks what
     it builds), and takes no sidecar; anything else is a .cmap file,
-    validated here once against ``genera`` and optionally paired with a
-    provenance sidecar.  Nothing downstream validates again.  The band layer
-    is imported only when a spec or a sidecar needs it.
+    validated here once and optionally paired with a provenance sidecar.
+    Nothing downstream validates again.  The band layer is imported only
+    when a spec or a sidecar needs it.
     """
     from .cmap import load_cmap, validate
     if path.endswith(".json"):
@@ -48,11 +48,9 @@ def _load(path: str, provenance: str | None = None, genera=None):
         if provenance:
             raise BandlinkError("--provenance goes with a .cmap path, not a band spec")
         bd = build_band(load_band_spec(path))
-        if genera is not None:
-            validate(bd.diagram, genera)
         return bd.diagram, bd
     m = load_cmap(path)
-    validate(m, genera)
+    validate(m)
     if provenance:
         from .band import band_diagram_from_provenance
         with open(provenance, "r", encoding="utf-8") as fh:
@@ -60,21 +58,20 @@ def _load(path: str, provenance: str | None = None, genera=None):
     return m, None
 
 
-def _parse_ints(values, noun: str = "vertex id") -> list[int]:
+def _parse_ints(values) -> list[int]:
     out = []
     for chunk in values or ():
         for tok in chunk.replace(",", " ").split():
             try:
                 out.append(int(tok))
             except ValueError:
-                raise BandlinkError(f"{noun} {clip_repr(tok)} is not an integer")
+                raise BandlinkError(f"vertex id {clip_repr(tok)} is not an integer")
     return out
 
 
 def _cmd_validate(args) -> int:
     from .cmap import derived_genus, faces
-    genera = _parse_ints(args.genera, "genus") if args.genera else None
-    m, bd = _load(args.path, genera=genera)
+    m, bd = _load(args.path)
     line = (
         f"V={m.vertex_count} E={m.edge_count} F={len(faces(m))} "
         f"g={derived_genus(m)}"
@@ -226,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a map or band spec and print counts")
     p.add_argument("path")
-    p.add_argument(
-        "--genera",
-        action="append",
-        help="expected per-component genera for disconnected maps",
-    )
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("faces", help="list faces as dart and vertex walks")
@@ -313,7 +305,7 @@ def main(argv=None) -> int:
     except BandlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

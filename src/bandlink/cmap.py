@@ -62,7 +62,7 @@ class CombinatorialMap:
         for name, images in (("alpha", self.alpha), ("sigma", self.sigma)):
             if len(images) != n:
                 raise BandlinkError(
-                    f"{name} lists {len(images)} images for {n} darts"
+                    f"{name} lists {len(images)} images for {clip_repr(n)} darts"
                 )
             hit = [False] * n
             for d in images:
@@ -229,34 +229,27 @@ class Strand(NamedTuple):
     darts: tuple[int, ...]
 
 
-def validate(
-    m: CombinatorialMap, component_genera: Sequence[int] | None = None
-) -> None:
+def validate(m: CombinatorialMap) -> None:
     """Check a map's declared genus against Euler's formula.
 
-    A connected map must satisfy V - E + F = 2 - 2g for the declared genus.
-    A disconnected map is read as one sphere per component, declaring genus
-    0, unless explicit per-component genera are supplied (ordered by each
-    component's least dart); supplied genera then stand in for the declared
-    genus.  Supplied genera are compared on every map, connected or not.  A
-    failure raises :class:`BandlinkError`.  The permutation invariants need
-    no check here: the constructor enforces them.
+    A connected map must satisfy V - E + F = 2 - 2g for its declared genus.
+    A disconnected map is read as one sphere per component: it declares
+    genus 0 and every component must have genus 0.  A failure raises
+    :class:`BandlinkError`.  The permutation invariants need no check here:
+    the constructor enforces them.
     """
     genera = m.component_genera
-    if component_genera is None:
-        if len(genera) > 1 and m.declared_genus != 0:
+    if len(genera) > 1:
+        if m.declared_genus != 0:
             raise BandlinkError(
                 f"declared genus {clip_repr(m.declared_genus)} but a disconnected map "
-                "without per-component genera is read as spheres"
+                "is read as spheres"
             )
-        expected = genera if len(genera) <= 1 else (0,) * len(genera)
-    else:
-        expected = tuple(component_genera)
-        if len(expected) != len(genera):
-            raise BandlinkError(f"{len(genera)} components but {len(expected)} genera supplied")
-    if genera != expected:
-        raise BandlinkError(f"per-component genera {genera} do not match expected {expected}")
-    if len(genera) <= 1 and sum(genera) != m.declared_genus:
+        if any(genera):
+            raise BandlinkError(
+                f"per-component genera {genera} do not match expected {(0,) * len(genera)}"
+            )
+    elif sum(genera) != m.declared_genus:
         chi = m.vertex_count - m.edge_count + len(m.faces)
         raise BandlinkError(
             f"declared genus {clip_repr(m.declared_genus)} but V-E+F = {chi} "
@@ -306,7 +299,10 @@ FORMAT_HEADER = "cmap v1"
 
 
 def parse_cmap(text: str) -> CombinatorialMap:
-    """Parse the .cmap text format, reporting errors with line numbers."""
+    """Parse the .cmap text format, reporting syntax errors with line numbers.
+
+    The map's constructor checks the permutations and the genus' sign.
+    """
     header_seen = False
     fields: dict[str, tuple[int, list[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -333,46 +329,23 @@ def parse_cmap(text: str) -> CombinatorialMap:
         if key not in fields:
             raise BandlinkError(f"line {len(text.splitlines()) or 1}: missing directive {key!r}")
 
-    def as_int(key: str, token: str) -> int:
-        lineno = fields[key][0]
-        try:
-            return int(token)
-        except ValueError:
-            raise BandlinkError(
-                f"line {lineno}: {key} value {clip_repr(token)} is not an integer"
-            )
-
-    lineno, args = fields["darts"]
-    if len(args) != 1:
-        raise BandlinkError(f"line {lineno}: darts takes one value")
-    n = as_int("darts", args[0])
-    if n < 0 or n % 2:
-        raise BandlinkError(f"line {lineno}: dart count {clip_repr(n)} must be even and >= 0")
-
-    genus = 0
-    if "genus" in fields:
-        lineno, args = fields["genus"]
-        if len(args) != 1:
-            raise BandlinkError(f"line {lineno}: genus takes one value")
-        genus = as_int("genus", args[0])
-        if genus < 0:
-            raise BandlinkError(f"line {lineno}: genus {clip_repr(genus)} is negative")
-
-    perms = {}
-    for key in ("alpha", "sigma"):
+    def ints(key: str, single: bool = False) -> list[int]:
         lineno, args = fields[key]
-        if len(args) != n:
-            raise BandlinkError(
-                f"line {lineno}: {key} lists {len(args)} images for {n} darts"
-            )
-        images = [as_int(key, tok) for tok in args]
-        for img in images:
-            if not 1 <= img <= n:
+        if single and len(args) != 1:
+            raise BandlinkError(f"line {lineno}: {key} takes one value")
+        out = []
+        for token in args:
+            try:
+                out.append(int(token))
+            except ValueError:
                 raise BandlinkError(
-                    f"line {lineno}: {key} image {clip_repr(img)} outside 1..{n}"
+                    f"line {lineno}: {key} value {clip_repr(token)} is not an integer"
                 )
-        perms[key] = tuple(images)
-    return CombinatorialMap(n, perms["alpha"], perms["sigma"], genus)
+        return out
+
+    (n,) = ints("darts", single=True)
+    (genus,) = ints("genus", single=True) if "genus" in fields else (0,)
+    return CombinatorialMap(n, ints("alpha"), ints("sigma"), genus)
 
 
 def format_cmap(m: CombinatorialMap) -> str:

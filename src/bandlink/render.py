@@ -43,10 +43,6 @@ def _require_planar(m: CombinatorialMap) -> None:
             raise BandlinkError(
                 f"component at dart {comp[0]} has genus {g}; only genus 0 renders"
             )
-    if m.is_connected() and m.declared_genus != 0:
-        raise BandlinkError(
-            f"map declares genus {m.declared_genus} but embeds on the sphere"
-        )
 
 
 def _component_layout(

@@ -21,6 +21,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 HUGE = int("9" * 4000)
 
 
+def disjoint_union(a: CombinatorialMap, b: CombinatorialMap, genus: int = 0) -> CombinatorialMap:
+    """``a`` and ``b`` side by side, with ``b``'s darts shifted past ``a``'s."""
+    shift = a.dart_count
+    alpha = list(a.alpha) + [d + shift for d in b.alpha]
+    sigma = list(a.sigma) + [d + shift for d in b.sigma]
+    return CombinatorialMap(a.dart_count + b.dart_count, alpha, sigma, genus)
+
+
 def sidecar(n: int, degenerate: bool, crossings, face_kinds) -> str:
     """A hand-written provenance sidecar: ``crossings`` holds one
     (kind, owner, slot) per vertex and ``face_kinds`` one kind per face."""

@@ -27,6 +27,7 @@ from helpers import (
     TORUS_SIDECAR,
     chain_spec,
     circle_map,
+    disjoint_union,
     random_spec,
 )
 
@@ -80,6 +81,25 @@ class TestCheckSpec:
         k = MAX_CROSSINGS // 2
         with pytest.raises(BandlinkError, match=f"asks for {2 * k + 6} crossings"):
             BandSpec(curl, (k, 1), ((0,) * (k + 1), (0, 0)))
+
+
+class TestGenusRule:
+    """A connected base keeps its declared genus; a disconnected base is spheres."""
+
+    def test_disjoint_spheres_build(self, triangle):
+        two = disjoint_union(triangle, triangle)
+        bd = build_band(BandSpec(two, (1,) * 6, ((0, 0),) * 6))
+        assert bd.n == 12
+        assert bd.diagram.component_genera == (0, 0)
+
+    @pytest.mark.parametrize("genus,message", [
+        (0, r"per-component genera \(0, 1\) do not match expected \(0, 0\)"),
+        (1, "declared genus 1 but a disconnected map is read as spheres"),
+    ], ids=["declares-0", "declares-1"])
+    def test_disjoint_torus_refused_by_spec(self, triangle, torus, genus, message):
+        mixed = disjoint_union(triangle, torus, genus)
+        with pytest.raises(BandlinkError, match=message):
+            BandSpec(mixed, (1,) * 5, ((0, 0),) * 5)
 
 
 class TestSubdivide:

@@ -28,14 +28,13 @@ DEEP = "[" * 100_000 + "]" * 100_000
 # Every subcommand's --help, as CPython 3.10-3.13 all print it at 80 columns.
 HELP = {
     "validate": """\
-usage: bandlink validate [-h] [--genera GENERA] path
+usage: bandlink validate [-h] path
 
 positional arguments:
   path
 
 options:
-  -h, --help       show this help message and exit
-  --genera GENERA  expected per-component genera for disconnected maps
+  -h, --help  show this help message and exit
 """,
     "faces": """\
 usage: bandlink faces [-h] [--provenance PROVENANCE] path
@@ -170,25 +169,16 @@ class TestValidate:
         )
         spec = tmp_path / "two.json"
         spec.write_text('{"map": "two.cmap"}')
-        assert main(["validate", str(spec), "--genera", "0,0"]) == 0
+        assert main(["validate", str(spec)]) == 0
         assert capsys.readouterr().out == "V=4 E=8 F=8 g=0 components=2 n=2\n"
-        assert main(["validate", str(spec), "--genera", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: 2 components but 1 genera supplied\n"
 
-    def test_genera_checked_on_connected_map(self, capsys):
-        assert main(["validate", TRIANGLE, "--genera", "5"]) == 2
+    def test_genera_is_a_usage_error(self, capsys):
+        assert main(["validate", "--genera", "0", TRIANGLE]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: per-component genera (0,) do not match expected (5,)\n"
-        assert main(["validate", TORUS, "--genera", "1"]) == 0
+        assert "unrecognized arguments: --genera" in captured.err
 
-    def test_non_integer_genus_named_as_genus(self, capsys):
-        assert main(["validate", TRIANGLE, "--genera", "x"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: genus 'x' is not an integer\n"
+    def test_non_integer_vertex_id_named(self, capsys):
         assert main(["percolate", TRIANGLE, "--manual", "x"]) == 2
         assert capsys.readouterr().err == "error: vertex id 'x' is not an integer\n"
 
@@ -592,6 +582,23 @@ class TestBadInputFiles:
         spec = tmp_path / "spec.json"
         spec.write_text(body)
         assert main(["build-band", str(spec)]) == 2
+        self.assert_one_error_line(capsys.readouterr(), tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv,name,body",
+        [
+            (["validate", "{}"], "bad.cmap", b"cmap v1\n\xff\n"),
+            (["validate", "{}"], "bad.json", b'{"map": "\xff"}'),
+            (["validate", "{}"], "nul.json", b'{"map": "base\\u0000.cmap"}'),
+            (["faces", "{map}", "--provenance", "{}"], "bad.json", b'{"n": "\xff"}'),
+            (["render", "{map}", "--trace", "{}"], "bad.txt", b"manual: 1\xff\n"),
+        ],
+        ids=["cmap", "spec", "spec-map-nul", "provenance", "trace"],
+    )
+    def test_undecodable_input(self, built, tmp_path, argv, name, body, capsys):
+        (tmp_path / name).write_bytes(body)
+        argv = [a.format(str(tmp_path / name), map=built[0]) for a in argv]
+        assert main(argv) == 2
         self.assert_one_error_line(capsys.readouterr(), tmp_path)
 
     @pytest.mark.parametrize("command", ["faces", "hull", "report", "render"])

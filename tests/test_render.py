@@ -5,16 +5,7 @@ import pytest
 from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import BandlinkError
 from bandlink.render import _component_layout
-from helpers import circle_map, random_map, random_spec, reference_layout
-
-
-def _two_triangles(triangle) -> CombinatorialMap:
-    return CombinatorialMap(
-        12,
-        tuple(list(triangle.alpha) + [d + 6 for d in triangle.alpha]),
-        tuple(list(triangle.sigma) + [d + 6 for d in triangle.sigma]),
-        0,
-    )
+from helpers import circle_map, disjoint_union, random_map, random_spec, reference_layout
 
 
 class TestBasics:
@@ -42,13 +33,6 @@ class TestGenusGate:
         with pytest.raises(BandlinkError, match="has genus 1; only genus 0 renders"):
             render_svg(torus)
 
-    def test_declared_genus_must_hold(self, triangle):
-        wrong = type(triangle)(
-            triangle.dart_count, triangle.alpha, triangle.sigma, 1
-        )
-        with pytest.raises(BandlinkError, match="map declares genus 1 but embeds on the sphere"):
-            render_svg(wrong)
-
 
 class TestDecoration:
     def test_coloring_tints_vertices(self, triangle):
@@ -62,7 +46,7 @@ class TestDecoration:
         assert "<title>" in svg
 
     def test_disconnected_maps_are_tiled(self, triangle):
-        svg = render_svg(_two_triangles(triangle))
+        svg = render_svg(disjoint_union(triangle, triangle))
         assert svg.count("<circle") == 6
 
 
@@ -116,7 +100,7 @@ WHEEL_HUBS = (5, 9, 17)
 
 def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
     rng = random.Random(55)
-    maps = [triangle, curl, loop1, chain2_base, _two_triangles(triangle), _pendant_and_loop()]
+    maps = [triangle, curl, loop1, chain2_base, disjoint_union(triangle, triangle), _pendant_and_loop()]
     maps += [_wheel(n) for n in WHEEL_HUBS]
     maps += [circle_map(n) for n in range(1, 10)]
     maps += [
