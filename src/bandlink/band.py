@@ -8,10 +8,16 @@ each segment may carry *twist* crossings (self-crossings of one band).  The
 result is one circle per 2-valent vertex, chained along the strands of the
 base, living on the same surface as the base map.
 
+The subdivided base is numbered from the base, never built as a map.  With
+D darts and V vertices in the base, subdivision point i (edges in base
+order, points in order along each edge) is vertex V + i with darts
+D + 2i - 1 and D + 2i.  A segment runs between two consecutive points of an
+edge, or a point and an end, and segments are numbered by their low dart.
+
 Gadget bookkeeping: every crossing owns four darts in a fixed rotation, and
-each base dart exposes two strand ports, L on its counterclockwise flank and
-R on the clockwise one.  Corridors glue L to R because walking an edge flips
-the flank.
+each subdivided-base dart exposes two strand ports, L on its
+counterclockwise flank and R on the clockwise one.  Corridors glue L to R
+because walking an edge flips the flank.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, load_cmap, validate
-from .errors import BandlinkError, clip_repr, json_typed
+from .errors import BandlinkError, clip_repr, json_typed, read_text
 
 KIND_CLASP = "clasp"
 KIND_HASH = "hash"
@@ -34,11 +40,14 @@ MAX_CROSSINGS = 10**6
 
 
 class Crossing(NamedTuple):
-    """Where a diagram vertex came from.
+    """Where a diagram vertex came from, in the module docstring's numbering.
 
-    clasp: owner = the 2-valent vertex, slot 1..2 along the first band arc.
-    hash: owner = the 4-valent vertex, slot 1..4 by rotation corner.
-    twist: owner = the segment's edge id, slot = position along the segment.
+    clasp: owner = the 2-valent vertex (a base vertex, or V + i for point i),
+    slot 1..2 along the first band arc.
+    hash: owner = the 4-valent base vertex, slot 1..4 by rotation corner.
+    twist: owner = the segment id, slot = position along the segment.
+    Crossings are numbered clasps first (base vertices, then points), then
+    hashes, then each segment's twists in segment order.
     """
 
     kind: str
@@ -61,8 +70,15 @@ class BandSpec:
         self.base = base
         self.subdivisions = tuple(subdivisions)
         self.twists = tuple(tuple(t) for t in twists)
+        if base.dart_count == 0:
+            raise BandlinkError("the base map has no edges; a band needs at least one")
         validate(base)
-        two, four = _check_valences(base)
+        valences = [len(cyc) for cyc in base.vertex_cycles]
+        for vid, valence in enumerate(valences, start=1):
+            if valence not in (2, 4):
+                raise BandlinkError(
+                    f"vertex {vid} has valence {valence}; band bases need 2 or 4"
+                )
         e_count = base.edge_count
         if len(self.subdivisions) != e_count:
             raise BandlinkError(
@@ -75,7 +91,7 @@ class BandSpec:
             if k < 0:
                 raise BandlinkError(f"edge {eid}: negative subdivision count {clip_repr(k)}")
             ends = (base.vertex_of[d - 1], base.vertex_of[dp - 1])
-            if k == 0 and all(base.valence(v) == 4 for v in ends):
+            if k == 0 and all(valences[v - 1] == 4 for v in ends):
                 raise BandlinkError(
                     f"edge {eid} joins two 4-valent vertices and needs at least "
                     "one subdivision point"
@@ -90,8 +106,8 @@ class BandSpec:
                     raise BandlinkError(f"edge {eid}: negative twist count {clip_repr(t)}")
         # A clasp (2 crossings) per 2-valent vertex after subdivision, a hash
         # (4) per 4-valent vertex, and the twists.
-        clasps = len(two) + sum(self.subdivisions)
-        _check_crossings(2 * clasps + 4 * len(four) + sum(map(sum, self.twists)))
+        clasps = valences.count(2) + sum(self.subdivisions)
+        _check_crossings(2 * clasps + 4 * valences.count(4) + sum(map(sum, self.twists)))
 
 
 class BandDiagram:
@@ -150,51 +166,6 @@ def _check_crossings(total: int) -> None:
         )
 
 
-def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:
-    two, four = [], []
-    for vid, cyc in enumerate(m.vertex_cycles, start=1):
-        if len(cyc) == 2:
-            two.append(vid)
-        elif len(cyc) == 4:
-            four.append(vid)
-        else:
-            raise BandlinkError(
-                f"vertex {vid} has valence {len(cyc)}; band bases need 2 or 4"
-            )
-    return two, four
-
-
-def _subdivide(
-    m: CombinatorialMap, subdivisions: Sequence[int]
-) -> tuple[CombinatorialMap, tuple[tuple[tuple[int, int], ...], ...]]:
-    """Insert 2-valent vertices; also return each edge's segment dart pairs."""
-    total = m.dart_count + 2 * sum(subdivisions)
-    alpha = [0] * (total + 1)
-    sigma = [0] * (total + 1)
-    for d in range(1, m.dart_count + 1):
-        sigma[d] = m.sigma[d - 1]
-    nxt = m.dart_count + 1
-    segments: list[tuple[tuple[int, int], ...]] = []
-    for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
-        k = subdivisions[eid - 1]
-        pairs = []
-        prev = d
-        for _ in range(k):
-            a, b = nxt, nxt + 1
-            nxt += 2
-            sigma[a], sigma[b] = b, a
-            alpha[prev], alpha[a] = a, prev
-            pairs.append((min(prev, a), max(prev, a)))
-            prev = b
-        alpha[prev], alpha[dp] = dp, prev
-        pairs.append((min(prev, dp), max(prev, dp)))
-        segments.append(tuple(pairs))
-    return (
-        CombinatorialMap(total, alpha[1:], sigma[1:], m.declared_genus),
-        tuple(segments),
-    )
-
-
 # Gadget dart offsets within a crossing's rotation (darts 4c+1 .. 4c+4).
 # Clasp pair: p = [NE, NW, MA, MB], q = [MB, MA, SW, SE]; the two middle
 # segments MA/MB join p to q so the two U-turn arcs cross twice.
@@ -227,23 +198,16 @@ class _Builder:
         self.ports[(b, "R")] = p + 2
 
     def hash_vertex(self, v: int, rotation: Sequence[int]) -> None:
-        d1, d2, d3, d4 = rotation
-        s1 = self.new_crossing(KIND_HASH, v, 1)
-        s2 = self.new_crossing(KIND_HASH, v, 2)
-        s3 = self.new_crossing(KIND_HASH, v, 3)
-        s4 = self.new_crossing(KIND_HASH, v, 4)
+        s1, s2, s3, s4 = s = [self.new_crossing(KIND_HASH, v, i) for i in (1, 2, 3, 4)]
         self.pair(s1 + 3, s2 + 1)
         self.pair(s1 + 4, s4 + 2)
         self.pair(s2 + 4, s3 + 2)
         self.pair(s3 + 1, s4 + 3)
-        self.ports[(d1, "L")] = s1 + 1
-        self.ports[(d1, "R")] = s4 + 1
-        self.ports[(d2, "L")] = s2 + 2
-        self.ports[(d2, "R")] = s1 + 2
-        self.ports[(d3, "L")] = s3 + 3
-        self.ports[(d3, "R")] = s2 + 3
-        self.ports[(d4, "L")] = s4 + 4
-        self.ports[(d4, "R")] = s3 + 4
+        # Rotation dart i (1..4) has L at corner i of crossing i and R at
+        # corner i of crossing i - 1, cyclically.
+        for i, d in enumerate(rotation):
+            self.ports[(d, "L")] = s[i] + i + 1
+            self.ports[(d, "R")] = s[i - 1] + i + 1
 
     def corridor(self, seg_id: int, d: int, dp: int, t: int) -> None:
         if t == 0:
@@ -261,85 +225,89 @@ class _Builder:
 
     def finish(self, genus: int) -> CombinatorialMap:
         total = 4 * len(self.crossings)
-        sigma = [0] * (total + 1)
-        for c in range(len(self.crossings)):
-            base = 4 * c
-            sigma[base + 1] = base + 2
-            sigma[base + 2] = base + 3
-            sigma[base + 3] = base + 4
-            sigma[base + 4] = base + 1
+        # Crossing c rotates its darts 4c+1 -> 4c+2 -> 4c+3 -> 4c+4 -> 4c+1.
+        sigma = [d - 3 if d % 4 == 0 else d + 1 for d in range(1, total + 1)]
+        # A dart glued twice or left unglued fails the constructor's alpha
+        # checks.
         alpha = [0] * (total + 1)
         for x, y in self.pairs:
-            if alpha[x] or alpha[y]:
-                raise RuntimeError(f"dart glued twice: {x} or {y}")
             alpha[x], alpha[y] = y, x
-        if any(a == 0 for a in alpha[1:]):
-            raise RuntimeError("unglued dart left over")
-        return CombinatorialMap(total, alpha[1:], sigma[1:], genus)
+        return CombinatorialMap(total, alpha[1:], sigma, genus)
 
 
 def build_band(spec: BandSpec) -> BandDiagram:
     """Build the band diagram a spec describes, on the same surface.
 
-    The builder checks its own output: Euler/genus per component of the
-    subdivided map and of the diagram, the vertex count 2C + 4H + sum(t),
-    one circle per 2-valent vertex, twists as self-crossings, and a bijection
-    between base faces and the diagram faces inherited from them.
+    One pass over the base: the subdivided base is numbered as the module
+    docstring says, never built.  The builder checks its own output: the
+    diagram's genus and component count against the base, the vertex count
+    2C + 4H + sum(t), one circle per 2-valent vertex, twists as
+    self-crossings, and a bijection between base faces and the diagram faces
+    inherited from them.
     """
     base = spec.base
-    m, segments = _subdivide(base, spec.subdivisions)
-    validate(m)
-    two, four = _check_valences(m)
-
-    seg_twist: dict[tuple[int, int], int] = {}
-    for eid in range(1, base.edge_count + 1):
-        for pair, t in zip(segments[eid - 1], spec.twists[eid - 1]):
-            seg_twist[pair] = t
+    darts, rotations = base.dart_count, base.vertex_cycles
+    clasps = [(w, cyc) for w, cyc in enumerate(rotations, start=1) if len(cyc) == 2]
+    clasps += [
+        (len(rotations) + i, (darts + 2 * i - 1, darts + 2 * i))
+        for i in range(1, sum(spec.subdivisions) + 1)
+    ]
+    hashes = [(v, cyc) for v, cyc in enumerate(rotations, start=1) if len(cyc) == 4]
+    # An edge (d, dp) with k points runs d, a1, b1, ..., ak, bk, dp; each
+    # consecutive pair of those darts bounds one segment.
+    segments = []
+    nxt = darts + 1
+    for (d, dp), k, twists in zip(base.edge_pairs, spec.subdivisions, spec.twists):
+        ends = [d, *range(nxt, nxt + 2 * k), dp]
+        nxt += 2 * k
+        for j, t in enumerate(twists):
+            x, y = ends[2 * j], ends[2 * j + 1]
+            segments.append((min(x, y), max(x, y), t))
+    segments.sort()
 
     b = _Builder()
-    for w in two:
-        a, bb = m.vertex_cycles[w - 1]
-        b.clasp(w, a, bb)
-    for v in four:
-        b.hash_vertex(v, m.vertex_cycles[v - 1])
-    twist_total = 0
-    for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
-        t = seg_twist.get((d, dp), 0)
-        twist_total += t
-        b.corridor(eid, d, dp, t)
+    for w, (x, y) in clasps:
+        b.clasp(w, x, y)
+    for v, rotation in hashes:
+        b.hash_vertex(v, rotation)
+    for sid, (x, y, t) in enumerate(segments, start=1):
+        b.corridor(sid, x, y, t)
     dl = b.finish(base.declared_genus)
 
-    if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
+    twist_total = sum(t for _, _, t in segments)
+    if dl.vertex_count != 2 * len(clasps) + 4 * len(hashes) + twist_total:
         raise RuntimeError("crossing count does not add up")
 
     # Genus preservation: a disconnected base is all spheres (BandSpec
     # validated it), so checking the diagram against its declared genus and
     # the base's component count checks every component.
-    if not len(dl.components) == len(m.components) == len(base.components):
+    if len(dl.components) != len(base.components):
         raise BandlinkError(
             f"band diagram has {len(dl.components)} components but the base "
             f"has {len(base.components)}"
         )
     validate(dl)
 
-    face_of_dart = {}
+    # A subdivided face runs through its base face's darts in the same cyclic
+    # order, and every point's dart is numbered above them, so base face ids
+    # and least darts carry over.
+    face_of_dart = [0] * (dl.dart_count + 1)
     for f in dl.faces:
         for d in f.boundary:
             face_of_dart[d] = f.id
     provenance: list[int | None] = [None] * len(dl.faces)
-    for mf in m.faces:
-        dl_dart = b.ports[(mf.boundary[0], "R")]
-        fid = face_of_dart[dl_dart]
+    for bf in base.faces:
+        fid = face_of_dart[b.ports[(bf.boundary[0], "R")]]
         if provenance[fid - 1] is not None:
             raise RuntimeError(
-                f"faces {provenance[fid - 1]} and {mf.id} of the base map to "
+                f"faces {provenance[fid - 1]} and {bf.id} of the base map to "
                 f"the same diagram face"
             )
-        provenance[fid - 1] = mf.id
+        provenance[fid - 1] = bf.id
 
     bd = BandDiagram(dl, tuple(b.crossings), tuple(provenance))
-    if bd.n != len(two):
-        raise RuntimeError(f"{bd.n} circles for {len(two)} 2-valent vertices")
+    if bd.n != len(clasps):
+        raise RuntimeError(f"{bd.n} circles for {len(clasps)} 2-valent vertices")
     for vid, (cr, (c0, c1)) in enumerate(
         zip(bd.crossing_kind, bd.circles_of_vertex), start=1
     ):
@@ -356,11 +324,10 @@ PROVENANCE_FORMAT = "bandlink-provenance v1"
 
 def load_band_spec(path) -> BandSpec:
     """Read a band spec JSON document; the base map path is relative to it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise BandlinkError(f"{path}: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise BandlinkError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandlinkError(f"{path}: missing 'map' entry")
     map_path = doc["map"]
@@ -437,6 +404,8 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     ``degenerate`` and ``circle_of_strand`` must equal the values derived
     from the map.
     """
+    if m.dart_count == 0:
+        raise BandlinkError("the map has no darts; a band diagram has at least one crossing")
     for vid, cyc in enumerate(m.vertex_cycles, start=1):
         if len(cyc) != 4:
             raise BandlinkError(

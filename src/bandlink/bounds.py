@@ -13,8 +13,7 @@ import json
 from typing import NamedTuple
 
 from .band import BandDiagram
-from .errors import BandlinkError
-from .hull import HullResult, verify_witness
+from .hull import HullResult, check_witness
 
 
 class BoundsReport(NamedTuple):
@@ -40,11 +39,8 @@ def report(bd: BandDiagram, hull: HullResult) -> BoundsReport:
     produced it; a witness that does not percolate raises rather than
     silently weakening the upper bound.
     """
-    if not verify_witness(bd.diagram, hull.witness):
-        raise BandlinkError(
-            "witness " + " ".join(str(v) for v in hull.witness) + " does not percolate"
-        )
-    lower = max(bd.n - 1, 0)
+    check_witness(bd.diagram, hull.witness)
+    lower = bd.n - 1
     upper = hull.size
     notes = [
         f"lower bound {lower} is the circle count minus one, a property of "

@@ -14,7 +14,7 @@ import argparse
 import sys
 from itertools import zip_longest
 
-from .errors import BandlinkError, ConstructionStuck, clip_repr
+from .errors import BandlinkError, ConstructionStuck, clip_repr, read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +53,7 @@ def _load(path: str, provenance: str | None = None):
     validate(m)
     if provenance:
         from .band import band_diagram_from_provenance
-        with open(provenance, "r", encoding="utf-8") as fh:
-            return m, band_diagram_from_provenance(m, fh.read())
+        return m, band_diagram_from_provenance(m, read_text(provenance))
     return m, None
 
 
@@ -152,12 +151,13 @@ def _band(bd, what: str):
 
 
 def _cmd_hull(args) -> int:
-    from .hull import hull_constructive_band, hull_exact
+    from .hull import check_witness, hull_constructive_band, hull_exact
     m, bd = _load(args.path, args.provenance)
     if args.constructive:
         result = hull_constructive_band(_band(bd, "hull --constructive"))
     else:
         result = hull_exact(m, budget=args.budget)
+    check_witness(m, result.witness)
     witness = " ".join(str(v) for v in result.witness) if result.witness else "-"
     print(f"h={result.size} method={result.method} witness={witness}")
     return 0
@@ -191,8 +191,7 @@ def _cmd_render(args) -> int:
     if args.trace:
         from .cmap import faces
         from .percolation import close, format_trace, parse_trace, trace_to_json
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(args.trace)
         recorded = parse_trace(text)
         coloring, trace = close(m, faces(m), recorded.manual)
         _refuse_difference(
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
     except BandlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,16 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import BandlinkError, clip_repr
+from .errors import BandlinkError, clip_repr, read_text
 
 
 def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
     """Decompose a permutation given as a 1-based image array into cycles.
 
     Each cycle is rotated to start at its smallest element and cycles are
-    sorted by that element, so the output is canonical.
+    sorted by that element, so the output is canonical.  ``images`` must be a
+    permutation: the maps pass only their constructor-checked ``alpha`` and
+    ``sigma``, or ``phi``, their composition.
     """
     n = len(images)
     seen = [False] * (n + 1)
@@ -33,8 +35,6 @@ def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
         seen[start] = True
         d = images[start - 1]
         while d != start:
-            if not 1 <= d <= n or seen[d] or len(cyc) > n:
-                raise BandlinkError("image array is not a permutation")
             cyc.append(d)
             seen[d] = True
             d = images[d - 1]
@@ -197,10 +197,6 @@ class CombinatorialMap:
                 d = _opposite(self, arrive)
                 if d == start:
                     break
-            if len(set(walk)) != len(walk):
-                raise BandlinkError(
-                    f"strand from dart {start} repeats a dart; rotation system is twisted"
-                )
             out.append(Strand(len(out) + 1, tuple(walk)))
         return tuple(out)
 
@@ -360,6 +356,5 @@ def format_cmap(m: CombinatorialMap) -> str:
 
 
 def load_cmap(path) -> CombinatorialMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cmap(fh.read())
+    return parse_cmap(read_text(path))
 

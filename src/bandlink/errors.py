@@ -6,9 +6,9 @@ without a lookup table.  A subclass exists only when it carries data or an
 exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
 (exit 4).  Every other failure, from a malformed ``.cmap`` file to a witness
 that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
-message says what is wrong.  :func:`json_typed` is the one type check the
-JSON readers share, and :func:`clip_repr` bounds every input value an error
-message echoes.
+message says what is wrong.  :func:`read_text` is how every reader opens
+its file, :func:`json_typed` is the one type check the JSON readers share,
+and :func:`clip_repr` bounds every input value an error message echoes.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ class ConstructionStuck(BandlinkError):
     def __init__(self, message: str, log: tuple[str, ...] = ()):
         super().__init__(message)
         self.log = log
+
+
+def read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text; bytes that do not decode raise
+    :class:`BandlinkError` as ``"<path>: <codec message>"``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BandlinkError(f"{path}: {exc}") from exc
 
 
 def json_typed(value, kind: type, field: str):

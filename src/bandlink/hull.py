@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cmap import CombinatorialMap, faces
-from .errors import BudgetExceeded, ConstructionStuck
+from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from .percolation import Closure, check_vertices
 
 if TYPE_CHECKING:
@@ -38,7 +38,8 @@ DEFAULT_BUDGET = 10**8
 
 
 class HullResult(NamedTuple):
-    """A witness set and how it was found; ``report`` re-verifies the witness.
+    """A witness set and how it was found; ``report`` and the ``hull`` command
+    re-verify the witness.
 
     ``examined`` counts the closure engine's face visits spent by the
     exhaustive search (0 for the constructive route); subsets it skips cost
@@ -60,6 +61,14 @@ def verify_witness(m: CombinatorialMap, witness) -> bool:
     engine = Closure(m.vertex_count, faces(m))
     engine.add(check_vertices(witness, m.vertex_count))
     return len(engine.order) == m.vertex_count
+
+
+def check_witness(m: CombinatorialMap, witness) -> None:
+    """Refuse a witness that does not percolate on a fresh closure of m."""
+    if not verify_witness(m, witness):
+        raise BandlinkError(
+            "witness " + " ".join(str(v) for v in witness) + " does not percolate"
+        )
 
 
 def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
@@ -152,9 +161,6 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         raise ConstructionStuck(
             "the chain walk needs a connected diagram", ("diagram is disconnected",)
         )
-    if m.vertex_count == 0:
-        return HullResult((), "constructive")
-
     faces_list = faces(m)
     base_faces = [f for f in faces_list if bd.face_provenance[f.id - 1] is not None]
     if not base_faces:

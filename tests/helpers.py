@@ -5,12 +5,15 @@ Every generator takes an explicit rng; nothing here touches global state.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
-from bandlink import BandSpec, CombinatorialMap, derived_genus, faces
+from bandlink import BandSpec, CombinatorialMap, derived_genus, faces, validate
+from bandlink.band import KIND_TWIST, BandDiagram, _Builder
 from bandlink.errors import BandlinkError, ConstructionStuck
 from bandlink.hull import HullResult, _one_cyclic_run
 from bandlink.percolation import Closure
@@ -128,6 +131,23 @@ def random_spec(rng, cap: int = 18, want_genus: int = 0) -> BandSpec:
             row.append(t)
         twists.append(tuple(row))
     return BandSpec(base, tuple(subs), tuple(twists))
+
+
+def bench_gen():
+    """bench/gen.py, the benchmark's own input generator, imported by path."""
+    path = FIXTURES.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def band_spec_of(spec) -> BandSpec:
+    """The BandSpec of a ``bench/gen.py`` spec, without writing its files."""
+    base = CombinatorialMap(len(spec.alpha), spec.alpha, spec.sigma, spec.genus)
+    return BandSpec(
+        base, [k for _, _, k, _ in spec.edges], [t for _, _, _, t in spec.edges]
+    )
 
 
 def random_map(rng, max_edges: int = 10) -> CombinatorialMap:
@@ -398,3 +418,117 @@ def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[f
                 y += pos[u][1]
             pos[v] = (x / len(neighbors[v]), y / len(neighbors[v]))
     return pos
+
+
+def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:
+    two, four = [], []
+    for vid, cyc in enumerate(m.vertex_cycles, start=1):
+        if len(cyc) == 2:
+            two.append(vid)
+        elif len(cyc) == 4:
+            four.append(vid)
+        else:
+            raise BandlinkError(
+                f"vertex {vid} has valence {len(cyc)}; band bases need 2 or 4"
+            )
+    return two, four
+
+
+def _subdivide(
+    m: CombinatorialMap, subdivisions: Sequence[int]
+) -> tuple[CombinatorialMap, tuple[tuple[tuple[int, int], ...], ...]]:
+    """Insert 2-valent vertices; also return each edge's segment dart pairs."""
+    total = m.dart_count + 2 * sum(subdivisions)
+    alpha = [0] * (total + 1)
+    sigma = [0] * (total + 1)
+    for d in range(1, m.dart_count + 1):
+        sigma[d] = m.sigma[d - 1]
+    nxt = m.dart_count + 1
+    segments: list[tuple[tuple[int, int], ...]] = []
+    for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
+        k = subdivisions[eid - 1]
+        pairs = []
+        prev = d
+        for _ in range(k):
+            a, b = nxt, nxt + 1
+            nxt += 2
+            sigma[a], sigma[b] = b, a
+            alpha[prev], alpha[a] = a, prev
+            pairs.append((min(prev, a), max(prev, a)))
+            prev = b
+        alpha[prev], alpha[dp] = dp, prev
+        pairs.append((min(prev, dp), max(prev, dp)))
+        segments.append(tuple(pairs))
+    return (
+        CombinatorialMap(total, alpha[1:], sigma[1:], m.declared_genus),
+        tuple(segments),
+    )
+
+
+def reference_build(spec: BandSpec) -> BandDiagram:
+    """``build_band`` as it ran before it built in one pass: it built the
+    subdivided base as a map, checked it, and read the clasps, hashes,
+    segments and faces back from it.  It shares today's ``_Builder``.  Kept
+    as the differential oracle for the one-pass numbering of points,
+    segments, crossings and faces.
+    """
+    base = spec.base
+    m, segments = _subdivide(base, spec.subdivisions)
+    validate(m)
+    two, four = _check_valences(m)
+
+    seg_twist: dict[tuple[int, int], int] = {}
+    for eid in range(1, base.edge_count + 1):
+        for pair, t in zip(segments[eid - 1], spec.twists[eid - 1]):
+            seg_twist[pair] = t
+
+    b = _Builder()
+    for w in two:
+        a, bb = m.vertex_cycles[w - 1]
+        b.clasp(w, a, bb)
+    for v in four:
+        b.hash_vertex(v, m.vertex_cycles[v - 1])
+    twist_total = 0
+    for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
+        t = seg_twist.get((d, dp), 0)
+        twist_total += t
+        b.corridor(eid, d, dp, t)
+    dl = b.finish(base.declared_genus)
+
+    if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
+        raise RuntimeError("crossing count does not add up")
+
+    # Genus preservation: a disconnected base is all spheres (BandSpec
+    # validated it), so checking the diagram against its declared genus and
+    # the base's component count checks every component.
+    if not len(dl.components) == len(m.components) == len(base.components):
+        raise BandlinkError(
+            f"band diagram has {len(dl.components)} components but the base "
+            f"has {len(base.components)}"
+        )
+    validate(dl)
+
+    face_of_dart = {}
+    for f in dl.faces:
+        for d in f.boundary:
+            face_of_dart[d] = f.id
+    provenance: list[int | None] = [None] * len(dl.faces)
+    for mf in m.faces:
+        dl_dart = b.ports[(mf.boundary[0], "R")]
+        fid = face_of_dart[dl_dart]
+        if provenance[fid - 1] is not None:
+            raise RuntimeError(
+                f"faces {provenance[fid - 1]} and {mf.id} of the base map to "
+                f"the same diagram face"
+            )
+        provenance[fid - 1] = mf.id
+
+    bd = BandDiagram(dl, tuple(b.crossings), tuple(provenance))
+    if bd.n != len(two):
+        raise RuntimeError(f"{bd.n} circles for {len(two)} 2-valent vertices")
+    for vid, (cr, (c0, c1)) in enumerate(
+        zip(bd.crossing_kind, bd.circles_of_vertex), start=1
+    ):
+        if cr.kind == KIND_TWIST and c0 != c1:
+            raise RuntimeError(f"twist crossing {vid} is not a self-crossing")
+    return bd

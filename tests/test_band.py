@@ -17,7 +17,7 @@ from bandlink import (
     strands,
     validate,
 )
-from bandlink.band import MAX_CROSSINGS, _subdivide
+from bandlink.band import MAX_CROSSINGS
 from bandlink.cmap import cycles_of_images
 from bandlink.errors import BandlinkError
 from helpers import (
@@ -25,10 +25,13 @@ from helpers import (
     HUGE,
     LOOP1_SIDECAR,
     TORUS_SIDECAR,
+    band_spec_of,
+    bench_gen,
     chain_spec,
     circle_map,
     disjoint_union,
     random_spec,
+    reference_build,
 )
 
 
@@ -103,19 +106,73 @@ class TestGenusRule:
 
 
 class TestSubdivide:
+    """Subdivision points are numbered from the base: point i is vertex V + i,
+    and segments are numbered by their low dart."""
+
     def test_curl_gains_two_vertices(self, curl):
-        m = _subdivide(curl, (1, 1))[0]
-        validate(m)
-        assert (m.vertex_count, m.edge_count, len(faces(m))) == (3, 4, 3)
-        assert sorted(m.valence(v) for v in range(1, 4)) == [2, 2, 4]
+        bd = build_band(BandSpec(curl, (1, 1), ((0, 0), (0, 0))))
+        # The hash of base vertex 1, then the clasps of points 2 and 3.
+        owners = [(c.kind, c.owner) for c in bd.crossing_kind]
+        assert owners == [("clasp", 2)] * 2 + [("clasp", 3)] * 2 + [("hash", 1)] * 4
+        assert (bd.n, bd.diagram.vertex_count) == (2, 8)
+        assert sorted(o for o in bd.face_provenance if o is not None) == [1, 2, 3]
 
     def test_zero_counts_change_nothing(self, triangle):
-        assert _subdivide(triangle, (0, 0, 0))[0] == triangle
+        # With no points the segments are the base edges, in edge order.
+        bd = build_band(BandSpec(triangle, (0, 0, 0), ((1,), (2,), (0,))))
+        assert [c.owner for c in bd.crossing_kind] == [1, 1, 2, 2, 3, 3, 1, 2, 2]
+        assert [c.kind for c in bd.crossing_kind[6:]] == ["twist"] * 3
+        assert bd.n == 3
+        assert sorted(o for o in bd.face_provenance if o is not None) == [1, 2]
 
     def test_genus_is_preserved(self, torus):
-        m = _subdivide(torus, (2, 3))[0]
-        assert derived_genus(m) == 1
-        assert m.vertex_count == 6
+        bd = build_band(BandSpec(torus, (2, 3), ((0, 0, 0), (0, 0, 0, 0))))
+        assert derived_genus(bd.diagram) == 1
+        assert bd.n == 5
+        clasps = [c.owner for c in bd.crossing_kind if c.kind == "clasp"]
+        assert clasps == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+
+    def test_edgeless_base_refused(self):
+        with pytest.raises(BandlinkError, match="the base map has no edges"):
+            BandSpec(CombinatorialMap(0, (), (), 0), (), ())
+
+
+class TestAgainstReferenceBuild:
+    """The one-pass builder gives the diagram text, crossings, face provenance
+    and sidecar of the builder that made the subdivided base as a map first."""
+
+    @staticmethod
+    def assert_same(spec):
+        got, want = build_band(spec), reference_build(spec)
+        assert format_cmap(got.diagram) == format_cmap(want.diagram)
+        assert got.crossing_kind == want.crossing_kind
+        assert got.face_provenance == want.face_provenance
+        assert provenance_to_json(got) == provenance_to_json(want)
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_random_specs(self, genus):
+        rng = random.Random(81 + genus)
+        for _ in range(60):
+            self.assert_same(random_spec(rng, cap=30, want_genus=genus))
+
+    def test_relabelled_chains(self):
+        gen, rng = bench_gen(), random.Random(83)
+        for k in range(1, 41):
+            self.assert_same(band_spec_of(gen.chain("chain", k).relabelled(rng)))
+
+    @pytest.mark.parametrize("torus", [False, True], ids=["plane", "torus"])
+    @pytest.mark.parametrize("w", [3, 6, 12])
+    def test_medial_bands(self, w, torus):
+        gen, rng = bench_gen(), random.Random(w)
+        self.assert_same(band_spec_of(gen.medial_band("m", w, torus)))
+        decorated = gen.medial_band("m", w, torus, rng, double=w, twisted=2 * w)
+        self.assert_same(band_spec_of(decorated.relabelled(rng)))
+
+    def test_fixture_specs(self, loop1, torus):
+        for name in ("chain3.json", "curlband.json"):
+            self.assert_same(load_band_spec(FIXTURES / name))
+        self.assert_same(BandSpec(loop1, (0,), ((0,),)))
+        self.assert_same(BandSpec(torus, (1, 1), ((0, 0), (0, 0))))
 
 
 class TestLoopBand:
@@ -245,9 +302,9 @@ class TestFuzzedInvariants:
         for _ in range(20):
             spec = random_spec(rng)
             bd = build_band(spec)
-            m = _subdivide(spec.base, spec.subdivisions)[0]
-            two_valent = sum(1 for v in range(1, m.vertex_count + 1) if m.valence(v) == 2)
-            assert bd.n == two_valent
+            base = spec.base
+            two_valent = sum(1 for v in range(1, base.vertex_count + 1) if base.valence(v) == 2)
+            assert bd.n == two_valent + sum(spec.subdivisions)
             darts = sorted(d for s in strands(bd.diagram) for d in s.darts)
             assert darts == list(range(1, bd.diagram.dart_count + 1))
 

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import bandlink
+import bandlink.hull
 from bandlink import load_cmap, parse_trace, trace_to_json, validate
 from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
 from bandlink.percolation import format_trace
-from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, TORUS_SIDECAR
+from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, TORUS_SIDECAR, sidecar
 
 TRIANGLE = str(FIXTURES / "triangle.cmap")
 CURL = str(FIXTURES / "curl.cmap")
@@ -24,6 +25,7 @@ CHAIN3 = str(FIXTURES / "chain3.json")
 CURLBAND = str(FIXTURES / "curlband.json")
 # A JSON array nested far deeper than the decoder's recursion limit.
 DEEP = "[" * 100_000 + "]" * 100_000
+EMPTY_CMAP = "cmap v1\ngenus 0\ndarts 0\nalpha\nsigma\n"
 
 # Every subcommand's --help, as CPython 3.10-3.13 all print it at 80 columns.
 HELP = {
@@ -316,6 +318,38 @@ class TestHull:
             f"error: argument --budget: {budget!r} is not a non-negative integer\n"
         )
 
+    @pytest.mark.parametrize(
+        "finder,flags",
+        [("hull_exact", []), ("hull_constructive_band", ["--constructive"])],
+        ids=["exact", "constructive"],
+    )
+    def test_unverified_witness_refused(self, finder, flags, monkeypatch, capsys):
+        # Whatever produced it, a witness is printed only once a fresh
+        # closure has checked it; vertex 1 alone does not percolate the 3-chain.
+        monkeypatch.setattr(
+            bandlink.hull, finder, lambda *a, **k: bandlink.hull.HullResult((1,), "stub")
+        )
+        assert main(["hull", CHAIN3, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness 1 does not percolate\n"
+
+    @pytest.mark.parametrize(
+        "command", [["hull", "--constructive"], ["report"]], ids=["hull", "report"]
+    )
+    def test_no_base_faces_to_walk(self, built, tmp_path, command, capsys):
+        path, prov = built
+        doc = json.loads(Path(prov).read_text())
+        doc["face_provenance"] = [
+            {"face": entry["face"], "kind": "internal"} for entry in doc["face_provenance"]
+        ]
+        internal = tmp_path / "internal.json"
+        internal.write_text(json.dumps(doc))
+        assert main([command[0], path, *command[1:], "--provenance", str(internal)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no base-derived faces to walk\n"
+
     def test_stuck_walk_prints_its_log(self, torus_spec, capsys):
         assert main(["hull", torus_spec, "--constructive"]) == 4
         captured = capsys.readouterr()
@@ -371,6 +405,32 @@ class TestReport:
         assert captured.out == ""
         assert captured.err == "error: report needs a band spec or --provenance\n"
 
+    @pytest.mark.parametrize("command", ["report", "build-band"])
+    def test_edgeless_base_refused(self, tmp_path, command, capsys):
+        # An empty band has no circles, so n - 1 certifies nothing.
+        (tmp_path / "empty.cmap").write_text(EMPTY_CMAP)
+        spec = tmp_path / "empty.json"
+        spec.write_text('{"map": "empty.cmap"}')
+        assert main([command, str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the base map has no edges; a band needs at least one\n"
+        )
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["walk", "exact"])
+    def test_dartless_sidecar_map_refused(self, tmp_path, exact, capsys):
+        (tmp_path / "empty.cmap").write_text(EMPTY_CMAP)
+        prov = tmp_path / "empty.prov.json"
+        prov.write_text(sidecar(0, False, [], []))
+        argv = ["report", str(tmp_path / "empty.cmap"), "--provenance", str(prov), *exact]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the map has no darts; a band diagram has at least one crossing\n"
+        )
+
     def test_sidecar_of_a_map_that_is_not_4_regular(self, tmp_path, capsys):
         prov = tmp_path / "loop1.prov.json"
         prov.write_text(LOOP1_SIDECAR)
@@ -401,6 +461,14 @@ class TestRender:
         body = svg.read_text()
         assert body.count("#f4a261") == 2
         assert "#c0392b" in body
+
+    def test_empty_map(self, tmp_path, capsys):
+        (tmp_path / "empty.cmap").write_text(EMPTY_CMAP)
+        assert main(["render", str(tmp_path / "empty.cmap")]) == 0
+        assert capsys.readouterr().out == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="80" '
+            'viewBox="0 0 80 80"></svg>\n'
+        )
 
     def test_manual_tints_a_fresh_run(self, capsys):
         assert main(["render", TRIANGLE, "--manual", "1,3"]) == 0
@@ -599,7 +667,10 @@ class TestBadInputFiles:
         (tmp_path / name).write_bytes(body)
         argv = [a.format(str(tmp_path / name), map=built[0]) for a in argv]
         assert main(argv) == 2
-        self.assert_one_error_line(capsys.readouterr(), tmp_path)
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured, tmp_path)
+        # The line names the file at fault.
+        assert captured.err.startswith(f"error: {tmp_path / name}: ")
 
     @pytest.mark.parametrize("command", ["faces", "hull", "report", "render"])
     def test_provenance_with_band_spec_refused(self, tmp_path, command, capsys):

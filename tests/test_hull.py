@@ -1,6 +1,4 @@
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +12,7 @@ from bandlink import (
 )
 from bandlink.errors import BudgetExceeded, ConstructionStuck
 from helpers import (
+    bench_gen,
     chain_spec,
     random_map,
     random_spec,
@@ -162,15 +161,6 @@ class TestConstructive:
             assert exact.size == constructive.size
 
 
-def _bench_gen():
-    """bench/gen.py, the benchmark's own input generator, imported by path."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestConstructiveAgainstRescan:
     """Same witness, log and stuck message as the walk that rescanned every
     base face after each pick, before the face frontier replaced it."""
@@ -209,7 +199,7 @@ class TestConstructiveAgainstRescan:
     def test_medial_twisted_bands(self, seed, tmp_path):
         # The bands of the medial-twisted benchmark workload, drawn the way
         # bench/workloads.py draws them: twisted plane bands and torus bands.
-        gen = _bench_gen()
+        gen = bench_gen()
         rng = random.Random(seed)
         kinds = []
         for name, size, torus, double, twisted in (

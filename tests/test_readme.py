@@ -19,11 +19,11 @@ SOURCES = FIXTURES.parent / "src" / "bandlink"
 
 PUBLIC_NAMES = [
     # README library section
-    "BandSpec", "build_band", "faces", "hull_constructive_band",
+    "BandSpec", "build_band", "hull_constructive_band",
     "hull_exact", "load_cmap", "report",
     # what bench/ imports besides those
     "CombinatorialMap", "band_diagram_from_provenance", "close",
-    "derived_genus", "format_cmap", "format_report", "load_band_spec",
+    "derived_genus", "faces", "format_cmap", "format_report", "load_band_spec",
     "parse_cmap", "parse_trace", "provenance_to_json", "render_svg",
     "strands", "trace_to_json", "validate", "verify_witness",
     # the errors callers catch
