@@ -210,18 +210,15 @@ class _Builder:
             self.ports[(d, "R")] = s[i - 1] + i + 1
 
     def corridor(self, seg_id: int, d: int, dp: int, t: int) -> None:
-        if t == 0:
-            self.pair(self.ports[(d, "L")], self.ports[(dp, "R")])
-            self.pair(self.ports[(d, "R")], self.ports[(dp, "L")])
-            return
-        xs = [self.new_crossing(KIND_TWIST, seg_id, i + 1) for i in range(t)]
-        self.pair(self.ports[(d, "L")], xs[0] + 2)
-        self.pair(self.ports[(d, "R")], xs[0] + 3)
-        for k in range(t - 1):
-            self.pair(xs[k] + 1, xs[k + 1] + 2)
-            self.pair(xs[k] + 4, xs[k + 1] + 3)
-        self.pair(xs[-1] + 1, self.ports[(dp, "R")])
-        self.pair(xs[-1] + 4, self.ports[(dp, "L")])
+        # Carry d's (L, R) ports through the t twists, then glue them to dp's.
+        left, right = self.ports[(d, "L")], self.ports[(d, "R")]
+        for slot in range(1, t + 1):
+            x = self.new_crossing(KIND_TWIST, seg_id, slot)
+            self.pair(left, x + 2)
+            self.pair(right, x + 3)
+            left, right = x + 1, x + 4
+        self.pair(left, self.ports[(dp, "R")])
+        self.pair(right, self.ports[(dp, "L")])
 
     def finish(self, genus: int) -> CombinatorialMap:
         total = 4 * len(self.crossings)

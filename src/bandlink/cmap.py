@@ -356,5 +356,10 @@ def format_cmap(m: CombinatorialMap) -> str:
 
 
 def load_cmap(path) -> CombinatorialMap:
-    return parse_cmap(read_text(path))
+    """The map in the ``.cmap`` file at ``path``; an error names the file."""
+    text = read_text(path)
+    try:
+        return parse_cmap(text)
+    except BandlinkError as exc:
+        raise BandlinkError(f"{path}: {exc}") from exc
 

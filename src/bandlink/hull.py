@@ -123,18 +123,16 @@ def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
     raise RuntimeError("the full vertex set failed to percolate")
 
 
-def _one_cyclic_run(flags: list[bool]) -> tuple[int, int] | None:
-    """If the True positions form one nonempty cyclic run, return (start, length)."""
-    n = len(flags)
-    total = sum(flags)
-    if total == 0 or total == n:
+def extension_positions(colored, corners) -> list[int] | None:
+    """The pick positions of a face with corners ``corners``, or None when
+    it does not extend: the uncolored corners that run on from the one
+    position p with a colored corner at p - 1 and an uncolored one at p."""
+    n = len(corners)
+    flags = [colored[v] for v in corners]
+    steps = [p for p in range(n) if flags[p - 1] and not flags[p]]
+    if len(steps) != 1:
         return None
-    start = next(
-        i for i in range(n) if flags[i] and not flags[(i - 1) % n]
-    )
-    if all(flags[(start + j) % n] for j in range(total)):
-        return start, total
-    return None
+    return [q % n for q in range(steps[0], steps[0] + n) if not flags[q % n]]
 
 
 def hull_constructive_band(bd: BandDiagram) -> HullResult:
@@ -148,9 +146,11 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     circles, and a face can get fewer picks than all corners but one.  Then
     repeatedly extends along the lowest-id base-derived face whose colored
     corners form one nonempty cyclic run and that still has a pick, and
-    recloses.  Twist crossings are never picked; they fill in once their
-    circle is touched.  Raises ConstructionStuck with the decision log when
-    no start face leads to a full coloring with an n - 1 vertex witness.
+    recloses.  Each run ends where a colored corner is followed by an
+    uncolored one, so one such step is the same test.  Twist crossings
+    are never picked; they fill in once their circle is touched.  Raises
+    ConstructionStuck with the decision log when no start face leads to a
+    full coloring with an n - 1 vertex witness.
 
     Candidate faces sit on a heap, pushed when a corner of theirs is colored.
     A face that does not extend is dropped until then: its run and picks
@@ -178,14 +178,14 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     colored, order = engine.colored, engine.order
     touched = [False] * (bd.n + 1)
 
-    def picks_along(face, positions, excluded: int | None) -> list[int]:
+    def picks_along(face, positions) -> list[int]:
         # No position holds a colored corner: pick one with a circle that
         # is neither touched nor claimed by an earlier pick.
         picks: list[int] = []
         claimed: set[int] = set()
         for pos in positions:
             v = face.vertex_list[pos]
-            if v != excluded and any(
+            if any(
                 not touched[c] and c not in claimed for c in circles_of[v - 1]
             ):
                 picks.append(v)
@@ -199,8 +199,9 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         heap: list[int] = []
         queued = [False] * len(base_faces)
         manual: set[int] = set()
+        top = max(f0.distinct_vertices)
         picks = picks_along(
-            f0, range(len(f0.vertex_list)), max(f0.distinct_vertices)
+            f0, [p for p, v in enumerate(f0.vertex_list) if v != top]
         )
         log.append(
             f"start face {f0.id}: color " + " ".join(str(v) for v in picks)
@@ -222,15 +223,10 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
                 i = heappop(heap)
                 queued[i] = False
                 f = base_faces[i]
-                run = _one_cyclic_run([colored[v] for v in f.vertex_list])
-                if run is None:
+                positions = extension_positions(colored, f.vertex_list)
+                if positions is None:
                     continue
-                start, length = run
-                nf = len(f.vertex_list)
-                positions = [
-                    (start + length + j) % nf for j in range(nf - length)
-                ]
-                picks = picks_along(f, positions, None)
+                picks = picks_along(f, positions)
                 if picks:
                     break
             else:
@@ -258,11 +254,8 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             len(f.vertex_list) == len(f.distinct_vertices) == len(circles)
         )
 
-    ordered = [f for f in base_faces if generic(f)] + [
-        f for f in base_faces if not generic(f)
-    ]
     log: list[str] = []
-    for f0 in ordered:
+    for f0 in sorted(base_faces, key=lambda f: not generic(f)):
         manual = attempt(f0, log)
         if manual is not None:
             return HullResult(tuple(sorted(manual)), "constructive", 0, tuple(log))

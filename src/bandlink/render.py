@@ -87,7 +87,7 @@ def _fmt(x: float) -> str:
 
 
 def _blend(step: int, max_step: int) -> str:
-    t = step / max_step if max_step else 0.0
+    t = step / max_step
     r = round(74 + t * (46 - 74))
     g = round(144 + t * (139 - 144))
     b = round(217 + t * (87 - 217))
@@ -137,48 +137,42 @@ def render_svg(
     for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
         u, v = m.vertex_of[d - 1], m.vertex_of[dp - 1]
         by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
+
+    def edge(eid: int, tag: str, shape: str) -> None:
+        lines.append(
+            f'<{tag} {shape} stroke="#555" stroke-width="1.5">'
+            f"<title>edge {eid}</title></{tag}>"
+        )
+
     for (u, v), eids in sorted(by_pair.items()):
         ux, uy = at(u)
+        vx, vy = at(v)
         if u == v:
             for k, eid in enumerate(eids):
                 ang = 2 * math.pi * k / len(eids)
-                reach = 90.0
-                c1 = (
-                    ux + reach * math.cos(ang - 0.5),
-                    uy + reach * math.sin(ang - 0.5),
-                )
-                c2 = (
-                    ux + reach * math.cos(ang + 0.5),
-                    uy + reach * math.sin(ang + 0.5),
-                )
-                lines.append(
-                    f'<path d="M {_fmt(ux)} {_fmt(uy)} '
+                c1 = (ux + 90.0 * math.cos(ang - 0.5), uy + 90.0 * math.sin(ang - 0.5))
+                c2 = (ux + 90.0 * math.cos(ang + 0.5), uy + 90.0 * math.sin(ang + 0.5))
+                edge(eid, "path", (
+                    f'd="M {_fmt(ux)} {_fmt(uy)} '
                     f"C {_fmt(c1[0])} {_fmt(c1[1])}, {_fmt(c2[0])} {_fmt(c2[1])}, "
-                    f'{_fmt(ux)} {_fmt(uy)}" fill="none" stroke="#555" '
-                    f'stroke-width="1.5"><title>edge {eid}</title></path>'
-                )
-            continue
-        vx, vy = at(v)
-        if len(eids) == 1:
-            lines.append(
-                f'<line x1="{_fmt(ux)}" y1="{_fmt(uy)}" '
-                f'x2="{_fmt(vx)}" y2="{_fmt(vy)}" stroke="#555" '
-                f'stroke-width="1.5"><title>edge {eids[0]}</title></line>'
-            )
-            continue
-        dx, dy = vx - ux, vy - uy
-        norm = math.hypot(dx, dy) or 1.0
-        nx, ny = -dy / norm, dx / norm
-        for k, eid in enumerate(eids):
-            off = 26.0 * (k - (len(eids) - 1) / 2)
-            cx = (ux + vx) / 2 + nx * off
-            cy = (uy + vy) / 2 + ny * off
-            lines.append(
-                f'<path d="M {_fmt(ux)} {_fmt(uy)} '
-                f'Q {_fmt(cx)} {_fmt(cy)}, {_fmt(vx)} {_fmt(vy)}" '
-                f'fill="none" stroke="#555" stroke-width="1.5">'
-                f"<title>edge {eid}</title></path>"
-            )
+                    f'{_fmt(ux)} {_fmt(uy)}" fill="none"'
+                ))
+        elif len(eids) == 1:
+            edge(eids[0], "line", (
+                f'x1="{_fmt(ux)}" y1="{_fmt(uy)}" x2="{_fmt(vx)}" y2="{_fmt(vy)}"'
+            ))
+        else:
+            dx, dy = vx - ux, vy - uy
+            norm = math.hypot(dx, dy) or 1.0
+            nx, ny = -dy / norm, dx / norm
+            for k, eid in enumerate(eids):
+                off = 26.0 * (k - (len(eids) - 1) / 2)
+                cx = (ux + vx) / 2 + nx * off
+                cy = (uy + vy) / 2 + ny * off
+                edge(eid, "path", (
+                    f'd="M {_fmt(ux)} {_fmt(uy)} '
+                    f'Q {_fmt(cx)} {_fmt(cy)}, {_fmt(vx)} {_fmt(vy)}" fill="none"'
+                ))
 
     if band is not None:
         from .band import KIND_CLASP, KIND_TWIST

@@ -15,7 +15,7 @@ from typing import Sequence
 from bandlink import BandSpec, CombinatorialMap, derived_genus, faces, validate
 from bandlink.band import KIND_TWIST, BandDiagram, _Builder
 from bandlink.errors import BandlinkError, ConstructionStuck
-from bandlink.hull import HullResult, _one_cyclic_run
+from bandlink.hull import HullResult
 from bandlink.percolation import Closure
 from bandlink.render import RADIUS, ROUNDS
 
@@ -267,11 +267,26 @@ def reference_exact(m: CombinatorialMap) -> tuple[int, tuple[int, ...], int]:
     raise AssertionError("the full vertex set failed to percolate")
 
 
+def _one_cyclic_run(flags: list[bool]) -> tuple[int, int] | None:
+    """If the True positions form one nonempty cyclic run, return (start, length)."""
+    n = len(flags)
+    total = sum(flags)
+    if total == 0 or total == n:
+        return None
+    start = next(
+        i for i in range(n) if flags[i] and not flags[(i - 1) % n]
+    )
+    if all(flags[(start + j) % n] for j in range(total)):
+        return start, total
+    return None
+
+
 def reference_walk(bd):
     """The constructive walk as ``hull_constructive_band`` ran it before the
     face frontier: after every pick it rescans every base face in id order,
-    and each attempt undoes the engine back to the empty coloring.  Kept as
-    the differential oracle for the frontier's witnesses, logs and stuck
+    and each attempt undoes the engine back to the empty coloring.  It reads
+    a face's colored corners with its own ``_one_cyclic_run``.  Kept as the
+    differential oracle for the frontier's witnesses, logs and stuck
     messages.
     """
     m = bd.diagram
@@ -465,12 +480,32 @@ def _subdivide(
     )
 
 
+class _ReferenceBuilder(_Builder):
+    """``_Builder`` with the ``corridor`` it had before a corridor carried
+    its ports through one loop: untwisted segments were a special case."""
+
+    def corridor(self, seg_id: int, d: int, dp: int, t: int) -> None:
+        if t == 0:
+            self.pair(self.ports[(d, "L")], self.ports[(dp, "R")])
+            self.pair(self.ports[(d, "R")], self.ports[(dp, "L")])
+            return
+        xs = [self.new_crossing(KIND_TWIST, seg_id, i + 1) for i in range(t)]
+        self.pair(self.ports[(d, "L")], xs[0] + 2)
+        self.pair(self.ports[(d, "R")], xs[0] + 3)
+        for k in range(t - 1):
+            self.pair(xs[k] + 1, xs[k + 1] + 2)
+            self.pair(xs[k] + 4, xs[k + 1] + 3)
+        self.pair(xs[-1] + 1, self.ports[(dp, "R")])
+        self.pair(xs[-1] + 4, self.ports[(dp, "L")])
+
+
 def reference_build(spec: BandSpec) -> BandDiagram:
     """``build_band`` as it ran before it built in one pass: it built the
     subdivided base as a map, checked it, and read the clasps, hashes,
-    segments and faces back from it.  It shares today's ``_Builder``.  Kept
-    as the differential oracle for the one-pass numbering of points,
-    segments, crossings and faces.
+    segments and faces back from it.  It shares today's ``_Builder`` gadgets
+    but threads twists with the old ``corridor``.  Kept as the differential
+    oracle for the one-pass numbering of points, segments, crossings and
+    faces, and for the corridor's twist chains.
     """
     base = spec.base
     m, segments = _subdivide(base, spec.subdivisions)
@@ -482,7 +517,7 @@ def reference_build(spec: BandSpec) -> BandDiagram:
         for pair, t in zip(segments[eid - 1], spec.twists[eid - 1]):
             seg_twist[pair] = t
 
-    b = _Builder()
+    b = _ReferenceBuilder()
     for w in two:
         a, bb = m.vertex_cycles[w - 1]
         b.clasp(w, a, bb)

@@ -672,6 +672,20 @@ class TestBadInputFiles:
         # The line names the file at fault.
         assert captured.err.startswith(f"error: {tmp_path / name}: ")
 
+    @pytest.mark.parametrize("via_spec", [False, True], ids=["cmap", "spec"])
+    def test_parse_error_names_the_map(self, tmp_path, via_spec, capsys):
+        bad = tmp_path / "bad.cmap"
+        bad.write_text("cmap v1\ndarts x\n")
+        path = bad
+        if via_spec:
+            path = tmp_path / "spec.json"
+            path.write_text('{"map": "bad.cmap"}')
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured, tmp_path)
+        # The line names the map file, also when a spec points at it.
+        assert captured.err.startswith(f"error: {bad}: line 2: ")
+
     @pytest.mark.parametrize("command", ["faces", "hull", "report", "render"])
     def test_provenance_with_band_spec_refused(self, tmp_path, command, capsys):
         # The sidecar is refused before it is opened, so it need not exist.

@@ -11,7 +11,9 @@ from bandlink import (
     verify_witness,
 )
 from bandlink.errors import BudgetExceeded, ConstructionStuck
+from bandlink.hull import extension_positions
 from helpers import (
+    _one_cyclic_run,
     bench_gen,
     chain_spec,
     random_map,
@@ -217,6 +219,23 @@ class TestConstructiveAgainstRescan:
 
     def test_torus_fixture(self, torus_band):
         assert self.assert_same(torus_band) == "stuck"
+
+    def test_face_test_on_every_flag_list(self):
+        # Every face of up to 12 corners, read as its colored flags: the walk
+        # extends where the oracle's run test does, at the same positions.
+        checked = 0
+        for n in range(1, 13):
+            corners = list(range(n))
+            for mask in range(1 << n):
+                flags = [bool(mask >> i & 1) for i in range(n)]
+                run = _one_cyclic_run(flags)
+                want = None
+                if run is not None:
+                    start, length = run
+                    want = [(start + length + j) % n for j in range(n - length)]
+                assert extension_positions(flags, corners) == want, flags
+                checked += 1
+        assert checked == 8190
 
 
 class TestHigherGenus:
