@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, load_cmap, validate
-from .errors import BandlinkError, clip_repr, json_typed, read_text
+from .errors import BandlinkError, clip_repr, json_typed, parse_json, read_text
 
 KIND_CLASP = "clasp"
 KIND_HASH = "hash"
@@ -321,10 +321,7 @@ PROVENANCE_FORMAT = "bandlink-provenance v1"
 
 def load_band_spec(path) -> BandSpec:
     """Read a band spec JSON document; the base map path is relative to it."""
-    try:
-        doc = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise BandlinkError(f"{path}: {exc}") from exc
+    doc = parse_json(read_text(path), str(path))
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandlinkError(f"{path}: missing 'map' entry")
     map_path = doc["map"]
@@ -408,10 +405,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
             raise BandlinkError(
                 f"vertex {vid} has valence {len(cyc)}; a band diagram is 4-regular"
             )
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise BandlinkError(f"bad provenance JSON: {exc}") from exc
+    doc = parse_json(text, "bad provenance JSON")
     if not isinstance(doc, dict):
         raise BandlinkError("provenance document is not a JSON object")
     if doc.get("format") != PROVENANCE_FORMAT:

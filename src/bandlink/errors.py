@@ -7,8 +7,9 @@ exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
 (exit 4).  Every other failure, from a malformed ``.cmap`` file to a witness
 that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
 message says what is wrong.  :func:`read_text` is how every reader opens
-its file, :func:`json_typed` is the one type check the JSON readers share,
-and :func:`clip_repr` bounds every input value an error message echoes.
+its file, :func:`parse_json` and :func:`json_typed` are the one decoder and
+the one type check the JSON readers share, and :func:`clip_repr` bounds every
+input value an error message echoes.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise BandlinkError(f"{path}: {exc}") from exc
+
+
+def parse_json(text: str, prefix: str):
+    """The JSON document ``text``; malformed JSON, nesting too deep or an
+    integer too long to convert raises ``"<prefix>: <message>"``."""
+    import json  # loaded only by the commands that read JSON
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise BandlinkError(f"{prefix}: {exc}") from exc
 
 
 def json_typed(value, kind: type, field: str):

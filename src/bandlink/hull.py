@@ -2,7 +2,8 @@
 
 Two strategies, both on the closure engine of :mod:`bandlink.percolation`.
 ``hull_exact`` tries subsets in ascending size, lexicographic within a size,
-so the first hit is the canonical minimum witness; subsets that share a prefix
+so the first hit is the canonical minimum witness.  A recursive depth-first
+search grows a prefix one vertex at a time, so subsets that share a prefix
 share its closure.  With prefix P, it skips candidate c and every extension:
 
 - when the closure of P already colors c.  A set holding P and c has the
@@ -76,50 +77,46 @@ def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
 
     The witness is the lexicographically smallest minimum set, the one the
     unpruned search finds; the module docstring gives the two skip rules and
-    why they keep it.  The budget is measured in face visits of the closure
-    engine and checked after each full subset; skipped subsets cost none.
+    why they keep it.  ``extend`` tries each candidate after the prefix's
+    last vertex, recurses on the longer prefix and undoes the engine to its
+    mark.  The budget is measured in face visits of the closure engine and
+    checked after each full subset; skipped subsets cost none.
     """
     nv = m.vertex_count
     limit = DEFAULT_BUDGET if budget is None else budget
     engine = Closure(nv, faces(m))
     engine.add(())
     colored, order = engine.colored, engine.order
+
+    def extend(prefix: tuple[int, ...], size: int) -> tuple[int, ...] | None:
+        # The first percolating set of this size that extends prefix, whose
+        # closure the engine holds.  The recursion is as deep as the set is
+        # large: at most 8 on any search the tests or the benchmark run.
+        if len(prefix) == size:
+            if engine.visits > limit:
+                raise BudgetExceeded(
+                    f"hull search spent {engine.visits} face visits (budget {limit})",
+                    examined=engine.visits, best_known=size - 1 if size else None,
+                )
+            return prefix if len(order) == nv else None
+        covered: set[int] = set()  # colored by earlier siblings beyond cl(prefix)
+        first = prefix[-1] + 1 if prefix else 1
+        for c in range(first, nv - size + len(prefix) + 2):
+            if colored[c] or c in covered:
+                continue
+            mark = len(order)
+            engine.add((c,))
+            covered.update(order[mark:])
+            found = extend(prefix + (c,), size)
+            if found is not None:
+                return found
+            engine.undo(mark)
+        return None
+
     for size in range(nv + 1):
-        # Lexicographic depth-first walk; backtracking undoes to the mark.
-        # covered[d] holds the vertices the earlier siblings at depth d
-        # colored beyond the prefix's closure.
-        prefix: list[int] = []
-        marks: list[int] = []
-        covered = [set() for _ in range(size + 1)]
-        nxt = 1
-        while True:
-            depth = len(prefix)
-            if depth == size:
-                if engine.visits > limit:
-                    raise BudgetExceeded(
-                        f"hull search spent {engine.visits} face visits "
-                        f"(budget {limit})",
-                        examined=engine.visits,
-                        best_known=size - 1 if size else None,
-                    )
-                if len(order) == nv:
-                    return HullResult(tuple(prefix), "exact", engine.visits)
-            if depth < size and nxt <= nv - size + depth + 1:
-                if colored[nxt] or nxt in covered[depth]:
-                    nxt += 1
-                    continue
-                mark = len(order)
-                marks.append(mark)
-                engine.add((nxt,))
-                covered[depth].update(order[mark:])
-                covered[depth + 1].clear()
-                prefix.append(nxt)
-                nxt += 1
-            elif prefix:
-                engine.undo(marks.pop())
-                nxt = prefix.pop() + 1
-            else:
-                break
+        witness = extend((), size)
+        if witness is not None:
+            return HullResult(witness, "exact", engine.visits)
     raise RuntimeError("the full vertex set failed to percolate")
 
 
@@ -162,15 +159,12 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             "the chain walk needs a connected diagram", ("diagram is disconnected",)
         )
     faces_list = faces(m)
-    base_faces = [f for f in faces_list if bd.face_provenance[f.id - 1] is not None]
+    is_base = [p is not None for p in bd.face_provenance]
+    base_faces = [f for f, base in zip(faces_list, is_base) if base]
     if not base_faces:
         raise ConstructionStuck("no base-derived faces to walk", ())
 
     circles_of = bd.circles_of_vertex
-    base_of: list[list[int]] = [[] for _ in range(m.vertex_count + 1)]
-    for i, f in enumerate(base_faces):
-        for v in f.distinct_vertices:
-            base_of[v].append(i)
     # One engine serves every start face: each attempt grows it with add()
     # and resets it to the empty coloring before the next.  touched[c]
     # says whether circle c has a colored vertex.
@@ -197,7 +191,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         engine.reset()
         touched[:] = [False] * len(touched)
         heap: list[int] = []
-        queued = [False] * len(base_faces)
+        queued = [False] * len(faces_list)
         manual: set[int] = set()
         top = max(f0.distinct_vertices)
         picks = picks_along(
@@ -213,8 +207,8 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             for v in order[mark:]:
                 for c in circles_of[v - 1]:
                     touched[c] = True
-                for i in base_of[v]:
-                    if not queued[i]:
+                for i in engine.faces_of[v]:
+                    if is_base[i] and not queued[i]:
                         queued[i] = True
                         heappush(heap, i)
             if len(order) == m.vertex_count:
@@ -222,7 +216,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             while heap:
                 i = heappop(heap)
                 queued[i] = False
-                f = base_faces[i]
+                f = faces_list[i]
                 positions = extension_positions(colored, f.vertex_list)
                 if positions is None:
                     continue

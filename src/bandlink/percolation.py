@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import BandlinkError, clip_repr, json_typed
+from .errors import BandlinkError, clip_repr, json_typed, parse_json
 
 
 class Coloring(NamedTuple):
@@ -193,10 +193,7 @@ def parse_trace(text: str) -> PercolationTrace:
     """Read either trace flavour (text or JSON)."""
     body = text.strip()
     if body.startswith("{"):
-        try:
-            doc = json.loads(body)
-        except (ValueError, RecursionError) as exc:
-            raise BandlinkError(f"bad trace JSON: {exc}") from exc
+        doc = parse_json(body, "bad trace JSON")
         try:
             manual = json_typed(doc.get("manual", []), list, "manual")
             steps = json_typed(doc.get("steps", []), list, "steps")

@@ -14,14 +14,17 @@ from typing import Sequence
 
 from bandlink import BandSpec, CombinatorialMap, derived_genus, faces, validate
 from bandlink.band import KIND_TWIST, BandDiagram, _Builder
-from bandlink.errors import BandlinkError, ConstructionStuck
-from bandlink.hull import HullResult
+from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
+from bandlink.hull import DEFAULT_BUDGET, HullResult
 from bandlink.percolation import Closure
 from bandlink.render import RADIUS, ROUNDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # An integer whose repr alone is far longer than an error line may be.
 HUGE = int("9" * 4000)
+# A JSON integer of 5,001 digits: more than the 4,300 that int() converts by
+# default (sys.set_int_max_str_digits), unlike HUGE.
+OVERLONG = "1" + "0" * 5000
 
 
 def disjoint_union(a: CombinatorialMap, b: CombinatorialMap, genus: int = 0) -> CombinatorialMap:
@@ -265,6 +268,57 @@ def reference_exact(m: CombinatorialMap) -> tuple[int, tuple[int, ...], int]:
             else:
                 break
     raise AssertionError("the full vertex set failed to percolate")
+
+
+def iterative_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
+    """``hull_exact`` as it ran before it became a recursive search: the
+    same two skip rules, stepped with hand-kept stacks (``prefix``,
+    ``marks``, a ``covered`` set per depth and an ``nxt`` cursor).  Kept as
+    the differential oracle for the witness, the face visits and
+    ``BudgetExceeded``'s fields.
+    """
+    nv = m.vertex_count
+    limit = DEFAULT_BUDGET if budget is None else budget
+    engine = Closure(nv, faces(m))
+    engine.add(())
+    colored, order = engine.colored, engine.order
+    for size in range(nv + 1):
+        # Lexicographic depth-first walk; backtracking undoes to the mark.
+        # covered[d] holds the vertices the earlier siblings at depth d
+        # colored beyond the prefix's closure.
+        prefix: list[int] = []
+        marks: list[int] = []
+        covered = [set() for _ in range(size + 1)]
+        nxt = 1
+        while True:
+            depth = len(prefix)
+            if depth == size:
+                if engine.visits > limit:
+                    raise BudgetExceeded(
+                        f"hull search spent {engine.visits} face visits "
+                        f"(budget {limit})",
+                        examined=engine.visits,
+                        best_known=size - 1 if size else None,
+                    )
+                if len(order) == nv:
+                    return HullResult(tuple(prefix), "exact", engine.visits)
+            if depth < size and nxt <= nv - size + depth + 1:
+                if colored[nxt] or nxt in covered[depth]:
+                    nxt += 1
+                    continue
+                mark = len(order)
+                marks.append(mark)
+                engine.add((nxt,))
+                covered[depth].update(order[mark:])
+                covered[depth + 1].clear()
+                prefix.append(nxt)
+                nxt += 1
+            elif prefix:
+                engine.undo(marks.pop())
+                nxt = prefix.pop() + 1
+            else:
+                break
+    raise RuntimeError("the full vertex set failed to percolate")
 
 
 def _one_cyclic_run(flags: list[bool]) -> tuple[int, int] | None:

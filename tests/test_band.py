@@ -24,6 +24,7 @@ from helpers import (
     FIXTURES,
     HUGE,
     LOOP1_SIDECAR,
+    OVERLONG,
     TORUS_SIDECAR,
     band_spec_of,
     bench_gen,
@@ -466,6 +467,12 @@ BAD_SIDECARS = [
             '"crossing_kind": 0', '"crossing_kind": ' + "[" * 100_000 + "]" * 100_000
         ),
         "bad provenance JSON",
+    ),
+    (
+        # json.dumps cannot write an integer this long, so the edit returns text.
+        "n-overlong",
+        lambda doc: json.dumps(dict(doc, n=0)).replace('"n": 0', '"n": ' + OVERLONG),
+        "bad provenance JSON: Exceeds the limit",
     ),
 ]
 

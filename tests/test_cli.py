@@ -15,7 +15,7 @@ from bandlink import load_cmap, parse_trace, trace_to_json, validate
 from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
 from bandlink.percolation import format_trace
-from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, TORUS_SIDECAR, sidecar
+from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, OVERLONG, TORUS_SIDECAR, sidecar
 
 TRIANGLE = str(FIXTURES / "triangle.cmap")
 CURL = str(FIXTURES / "curl.cmap")
@@ -609,6 +609,8 @@ class TestBadInputFiles:
                 ("step-long-line.txt", "manual: 1\nstep " + "x" * 5000 + "\n"),
                 ("manual-huge-id.txt", f"manual: 1 {HUGE}\n"),
                 ("manual-huge-id.json", f'{{"manual": [1, {HUGE}]}}'),
+                ("manual-overlong-id.txt", f"manual: 1 {OVERLONG}\n"),
+                ("manual-overlong-id.json", f'{{"manual": [1, {OVERLONG}]}}'),
             ]
         ],
     )
@@ -630,6 +632,7 @@ class TestBadInputFiles:
             '{"map": "base.cmap", "edges": [{"edge": %s}]}' % HUGE,
             '{"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": -%s}]}' % HUGE,
             '{"map": "base.cmap", "edges": [{"edge": 1, "twists": [-%s]}]}' % HUGE,
+            '{"map": "base.cmap", "edges": [{"edge": %s}]}' % OVERLONG,
             # Over the crossing cap; nothing may be allocated or built first.
             json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": 10**30}]}),
             json.dumps({"map": "base.cmap", "edges": [
@@ -641,7 +644,7 @@ class TestBadInputFiles:
         ids=[
             "map-number", "edges-number", "edge-float", "twists-string",
             "edges-nested-deep", "edge-entry-nested-900", "edge-huge",
-            "subdivisions-huge", "twist-huge", "subdivisions-over-cap",
+            "subdivisions-huge", "twist-huge", "edge-overlong", "subdivisions-over-cap",
             "twists-over-cap", "one-over-cap",
         ],
     )

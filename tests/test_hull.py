@@ -16,6 +16,7 @@ from helpers import (
     _one_cyclic_run,
     bench_gen,
     chain_spec,
+    iterative_exact,
     random_map,
     random_spec,
     reference_exact,
@@ -123,6 +124,51 @@ class TestExactAgainstUnprunedSearch:
         result = hull_exact(m)
         assert reference_exact(m)[2] == 169_842
         assert result.examined == 5_298
+
+
+class TestExactAgainstIterativeSearch:
+    """Same witness, face visits and budget failure as the search that
+    stepped its depth-first walk with hand-kept stacks."""
+
+    BUDGETS = (None, 50, 500)
+
+    @staticmethod
+    def outcome(search, m, budget):
+        try:
+            result = search(m, budget)
+        except BudgetExceeded as err:
+            return "budget", str(err), err.examined, err.best_known
+        return "ok", result.witness, result.examined, result.method
+
+    def assert_same(self, m) -> set[str]:
+        kinds = set()
+        for budget in self.BUDGETS:
+            got = self.outcome(hull_exact, m, budget)
+            assert got == self.outcome(iterative_exact, m, budget)
+            kinds.add(got[0])
+        return kinds
+
+    def test_random_maps_and_relabellings(self):
+        rng = random.Random(81)
+        kinds = set()
+        for _ in range(60):
+            m = random_map(rng)
+            kinds |= self.assert_same(m)
+            kinds |= self.assert_same(relabel(rng, m))
+        assert kinds == {"ok", "budget"}
+
+    @pytest.mark.parametrize("genus, runs", [(0, 30), (1, 15)])
+    def test_fuzzed_bands(self, genus, runs):
+        rng = random.Random(83 + genus)
+        kinds = set()
+        for _ in range(runs):
+            kinds |= self.assert_same(build_band(random_spec(rng, want_genus=genus)).diagram)
+        assert kinds == {"ok", "budget"}
+
+    def test_chain_9_face_visits(self):
+        m = build_band(chain_spec(9)).diagram
+        assert self.assert_same(m) == {"ok", "budget"}
+        assert hull_exact(m).examined == 11_636
 
 
 class TestConstructive:
