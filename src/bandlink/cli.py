@@ -14,23 +14,13 @@ import argparse
 import sys
 from itertools import zip_longest
 
-from .errors import BandlinkError, ConstructionStuck, clip_repr, read_text
+from .errors import BandlinkError, ConstructionStuck, ascii_ints, clip_repr, read_text
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{clip_repr(text)} is not a non-negative integer")
-    return value
 
 
 def _load(path: str, provenance: str | None = None):
@@ -58,14 +48,10 @@ def _load(path: str, provenance: str | None = None):
 
 
 def _parse_ints(values) -> list[int]:
-    out = []
-    for chunk in values or ():
-        for tok in chunk.replace(",", " ").split():
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise BandlinkError(f"vertex id {clip_repr(tok)} is not an integer")
-    return out
+    try:
+        return ascii_ints(" ".join(values or ()).replace(",", " ").split())
+    except ValueError as exc:
+        raise BandlinkError(f"vertex id {clip_repr(exc.args[0])} is not an integer") from None
 
 
 def _cmd_validate(args) -> int:
@@ -156,7 +142,7 @@ def _cmd_hull(args) -> int:
     if args.constructive:
         result = hull_constructive_band(_band(bd, "hull --constructive"))
     else:
-        result = hull_exact(m, budget=args.budget)
+        result = hull_exact(m)
     check_witness(m, result.witness)
     witness = " ".join(str(v) for v in result.witness) if result.witness else "-"
     print(f"h={result.size} method={result.method} witness={witness}")
@@ -168,7 +154,7 @@ def _cmd_report(args) -> int:
     from .hull import hull_constructive_band, hull_exact
     bd = _band(_load(args.path, args.provenance)[1], "report")
     if args.exact:
-        result = hull_exact(bd.diagram, budget=args.budget)
+        result = hull_exact(bd.diagram)
     else:
         result = hull_constructive_band(bd)
     rep = report(bd, result)
@@ -245,20 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the coloring trace (.json for JSON)")
     p.set_defaults(func=_cmd_percolate)
 
-    def add_hull_options(p):
-        p.add_argument("path")
-        p.add_argument("--provenance", help="sidecar JSON giving band context")
-        p.add_argument(
-            "--budget", type=_budget, help="exact search limit in face visits (default 10^8)"
-        )
-
     p = sub.add_parser("hull", help="find a minimum percolating set")
-    add_hull_options(p)
+    p.add_argument("path")
+    p.add_argument("--provenance", help="sidecar JSON giving band context")
     p.add_argument("--constructive", action="store_true", help="band chain walk")
     p.set_defaults(func=_cmd_hull)
 
     p = sub.add_parser("report", help="bounds and conclusions from a hull")
-    add_hull_options(p)
+    p.add_argument("path")
+    p.add_argument("--provenance", help="sidecar JSON giving band context")
     p.add_argument(
         "--exact",
         action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import BandlinkError, clip_repr, read_text
+from .errors import BandlinkError, ascii_ints, clip_repr, read_text
 
 
 def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -118,9 +118,6 @@ class CombinatorialMap:
     def edge_count(self) -> int:
         return self.dart_count // 2
 
-    def valence(self, vertex_id: int) -> int:
-        return len(self.vertex_cycles[vertex_id - 1])
-
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted dart tuples, ordered by least dart."""
@@ -142,9 +139,6 @@ class CombinatorialMap:
                         stack.append(nxt)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
-
-    def is_connected(self) -> bool:
-        return len(self.components) <= 1
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -329,15 +323,12 @@ def parse_cmap(text: str) -> CombinatorialMap:
         lineno, args = fields[key]
         if single and len(args) != 1:
             raise BandlinkError(f"line {lineno}: {key} takes one value")
-        out = []
-        for token in args:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise BandlinkError(
-                    f"line {lineno}: {key} value {clip_repr(token)} is not an integer"
-                )
-        return out
+        try:
+            return ascii_ints(args)
+        except ValueError as exc:
+            raise BandlinkError(
+                f"line {lineno}: {key} value {clip_repr(exc.args[0])} is not an integer"
+            ) from None
 
     (n,) = ints("darts", single=True)
     (genus,) = ints("genus", single=True) if "genus" in fields else (0,)

@@ -8,8 +8,9 @@ exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
 that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
 message says what is wrong.  :func:`read_text` is how every reader opens
 its file, :func:`parse_json` and :func:`json_typed` are the one decoder and
-the one type check the JSON readers share, and :func:`clip_repr` bounds every
-input value an error message echoes.
+the one type check the JSON readers share, :func:`ascii_ints` reads every
+integer written as text, and :func:`clip_repr` bounds every input value an
+error message echoes.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ class BudgetExceeded(BandlinkError):
 
     exit_code = 4
 
-    def __init__(self, message: str, examined: int, best_known: int | None = None):
+    def __init__(self, message: str, examined: int):
         super().__init__(message)
         self.examined = examined
-        self.best_known = best_known
 
 
 class ConstructionStuck(BandlinkError):
@@ -80,6 +80,25 @@ def json_typed(value, kind: type, field: str):
         noun = "an integer" if kind is int else "a list"
         raise TypeError(f"{field} must be {noun}, got {clip_repr(value)}")
     return value
+
+
+def ascii_ints(tokens: list[str]) -> list[int]:
+    """``tokens`` as integers, each ASCII digits with an optional sign.
+
+    ``int`` alone also reads other scripts' digits and ``_`` separators; one
+    scan of all the tokens rules those out, not a test per token.  When that
+    scan or ``int`` fails, each token is read on its own, so the first that
+    is not an integer raises ValueError with that token as its argument.
+    """
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    if len(tokens) > 1:
+        return [ascii_ints([token])[0] for token in tokens]
+    raise ValueError(joined)
 
 
 def clip_repr(value) -> str:

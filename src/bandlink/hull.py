@@ -96,7 +96,7 @@ def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
             if engine.visits > limit:
                 raise BudgetExceeded(
                     f"hull search spent {engine.visits} face visits (budget {limit})",
-                    examined=engine.visits, best_known=size - 1 if size else None,
+                    engine.visits,
                 )
             return prefix if len(order) == nv else None
         covered: set[int] = set()  # colored by earlier siblings beyond cl(prefix)
@@ -154,7 +154,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     depend only on its own corners and on the touched circles, which only grow.
     """
     m = bd.diagram
-    if not m.is_connected():
+    if len(m.components) > 1:
         raise ConstructionStuck(
             "the chain walk needs a connected diagram", ("diagram is disconnected",)
         )

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import BandlinkError, clip_repr, json_typed, parse_json
+from .errors import BandlinkError, ascii_ints, clip_repr, json_typed, parse_json
 
 
 class Coloring(NamedTuple):
@@ -214,12 +214,12 @@ def parse_trace(text: str) -> PercolationTrace:
             continue
         try:
             if line.startswith("manual:"):
-                manual = tuple(int(tok) for tok in line.split(":", 1)[1].split())
+                manual = tuple(ascii_ints(line.split(":", 1)[1].split()))
                 continue
             parts = line.split()
             if len(parts) != 6 or parts[0] != "step" or parts[2] != "vertex" or parts[4] != "face":
                 raise ValueError
-            entries.append(TraceEntry(int(parts[1]), int(parts[3]), int(parts[5])))
+            entries.append(TraceEntry(*ascii_ints(parts[1::2])))
         except ValueError:
             raise BandlinkError(f"line {lineno}: bad trace line {clip_repr(line)}") from None
     return PercolationTrace(manual, tuple(entries))

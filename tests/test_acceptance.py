@@ -151,16 +151,9 @@ def test_euler_and_genus_invariants(announce):
             spec = random_spec(rng, want_genus=want_genus)
             bd = build_band(spec)
             base = spec.base
-            clasps = sum(spec.subdivisions) + sum(
-                1
-                for v in range(1, base.vertex_count + 1)
-                if base.valence(v) == 2
-            )
-            hashes = sum(
-                1
-                for v in range(1, base.vertex_count + 1)
-                if base.valence(v) == 4
-            )
+            valences = [len(cyc) for cyc in base.vertex_cycles]
+            clasps = sum(spec.subdivisions) + valences.count(2)
+            hashes = valences.count(4)
             twists = sum(sum(row) for row in spec.twists)
             ok = ok and bd.diagram.vertex_count == 2 * clasps + 4 * hashes + twists
             ok = ok and derived_genus(bd.diagram) == want_genus

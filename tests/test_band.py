@@ -277,14 +277,9 @@ class TestFuzzedInvariants:
         for _ in range(40):
             spec = random_spec(rng)
             bd = build_band(spec)
-            clasps = sum(spec.subdivisions) + sum(
-                1 for v in range(1, spec.base.vertex_count + 1)
-                if spec.base.valence(v) == 2
-            )
-            hashes = sum(
-                1 for v in range(1, spec.base.vertex_count + 1)
-                if spec.base.valence(v) == 4
-            )
+            valences = [len(cyc) for cyc in spec.base.vertex_cycles]
+            clasps = sum(spec.subdivisions) + valences.count(2)
+            hashes = valences.count(4)
             twists = sum(sum(row) for row in spec.twists)
             assert bd.diagram.vertex_count == 2 * clasps + 4 * hashes + twists
             assert bd.n == clasps
@@ -304,7 +299,7 @@ class TestFuzzedInvariants:
             spec = random_spec(rng)
             bd = build_band(spec)
             base = spec.base
-            two_valent = sum(1 for v in range(1, base.vertex_count + 1) if base.valence(v) == 2)
+            two_valent = sum(1 for cyc in base.vertex_cycles if len(cyc) == 2)
             assert bd.n == two_valent + sum(spec.subdivisions)
             darts = sorted(d for s in strands(bd.diagram) for d in s.darts)
             assert darts == list(range(1, bd.diagram.dart_count + 1))

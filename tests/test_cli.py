@@ -82,9 +82,7 @@ options:
   --trace TRACE    write the coloring trace (.json for JSON)
 """,
     "hull": """\
-usage: bandlink hull [-h] [--provenance PROVENANCE] [--budget BUDGET]
-                     [--constructive]
-                     path
+usage: bandlink hull [-h] [--provenance PROVENANCE] [--constructive] path
 
 positional arguments:
   path
@@ -93,13 +91,10 @@ options:
   -h, --help            show this help message and exit
   --provenance PROVENANCE
                         sidecar JSON giving band context
-  --budget BUDGET       exact search limit in face visits (default 10^8)
   --constructive        band chain walk
 """,
     "report": """\
-usage: bandlink report [-h] [--provenance PROVENANCE] [--budget BUDGET]
-                       [--exact] [--json]
-                       path
+usage: bandlink report [-h] [--provenance PROVENANCE] [--exact] [--json] path
 
 positional arguments:
   path
@@ -108,7 +103,6 @@ options:
   -h, --help            show this help message and exit
   --provenance PROVENANCE
                         sidecar JSON giving band context
-  --budget BUDGET       exact search limit in face visits (default 10^8)
   --exact               force the exhaustive search
   --json                print the report as JSON
 """,
@@ -303,20 +297,22 @@ class TestHull:
         assert main(["hull", CURL]) == 0
         assert capsys.readouterr().out == "h=0 method=exact witness=-\n"
 
-    def test_budget_exit(self, built, capsys):
+    def test_budget_exit(self, built, monkeypatch, capsys):
         path, _ = built
-        assert main(["hull", path, "--budget", "3"]) == 4
-        assert "budget" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["hull", "report"])
-    @pytest.mark.parametrize("budget", ["-1", "x"])
-    def test_budget_must_be_non_negative(self, command, budget, capsys):
-        assert main([command, CHAIN3, "--budget", budget]) == 1
+        monkeypatch.setattr(bandlink.hull, "DEFAULT_BUDGET", 3)
+        assert main(["hull", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
-            f"error: argument --budget: {budget!r} is not a non-negative integer\n"
-        )
+        assert captured.err.startswith("error: hull search spent ")
+        assert captured.err.endswith(" face visits (budget 3)\n")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["hull", "report"])
+    def test_budget_is_a_usage_error(self, command, capsys):
+        assert main([command, CHAIN3, "--budget", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --budget 3\n")
 
     @pytest.mark.parametrize(
         "finder,flags",
@@ -611,6 +607,8 @@ class TestBadInputFiles:
                 ("manual-huge-id.json", f'{{"manual": [1, {HUGE}]}}'),
                 ("manual-overlong-id.txt", f"manual: 1 {OVERLONG}\n"),
                 ("manual-overlong-id.json", f'{{"manual": [1, {OVERLONG}]}}'),
+                ("manual-fullwidth.txt", "manual: \uff13\n"),
+                ("step-underscore.txt", "manual: 1 3\nstep 1 vertex 2 face 0_1\n"),
             ]
         ],
     )
@@ -700,7 +698,9 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("command", ["percolate", "render"])
     @pytest.mark.parametrize(
-        "manual", [f"1,{HUGE}", "1," + "x" * 3000], ids=["huge-id", "long-word"]
+        "manual",
+        [f"1,{HUGE}", "1," + "x" * 3000, "\uff13", "0_3"],
+        ids=["huge-id", "long-word", "fullwidth-id", "underscore-id"],
     )
     def test_bad_manual(self, tmp_path, command, manual, capsys):
         assert main([command, TRIANGLE, "--manual", manual]) == 2

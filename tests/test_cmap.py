@@ -205,6 +205,22 @@ class TestTextFormat:
             ),
             pytest.param("# only a comment\n\n", "line 1: missing 'cmap v1' header",
                          id="comments-only"),
+            # int() reads these too; a .cmap integer is ASCII digits and a sign.
+            pytest.param(
+                "cmap v1\ndarts \uff16\nalpha 5 4 6 2 1 3\nsigma 4 6 5 1 3 2\n",
+                "line 2: darts value '\uff16' is not an integer",
+                id="fullwidth-darts",
+            ),
+            pytest.param(
+                "cmap v1\ngenus \uff10\ndarts 6\nalpha 5 4 6 2 1 3\nsigma 4 6 5 1 3 2\n",
+                "line 2: genus value '\uff10' is not an integer",
+                id="fullwidth-genus",
+            ),
+            pytest.param(
+                "cmap v1\ndarts 6\nalpha 5 4 6 2 1 3\nsigma 4 6 5 1 3 0_2\n",
+                "line 4: sigma value '0_2' is not an integer",
+                id="underscore-image",
+            ),
         ],
     )
     def test_parse_errors(self, text, fragment):

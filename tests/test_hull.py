@@ -56,12 +56,6 @@ class TestExact:
             hull_exact(chain3_band.diagram, budget=3)
         assert err.value.exit_code == 4
         assert err.value.examined > 3
-        assert err.value.best_known is None
-
-    def test_budget_reports_last_finished_size(self, chain3_band):
-        with pytest.raises(BudgetExceeded) as err:
-            hull_exact(chain3_band.diagram, budget=40)
-        assert err.value.best_known in (0, 1)
 
     def test_examined_is_reported(self, triangle):
         result = hull_exact(triangle)
@@ -137,7 +131,7 @@ class TestExactAgainstIterativeSearch:
         try:
             result = search(m, budget)
         except BudgetExceeded as err:
-            return "budget", str(err), err.examined, err.best_known
+            return "budget", str(err), err.examined
         return "ok", result.witness, result.examined, result.method
 
     def assert_same(self, m) -> set[str]:

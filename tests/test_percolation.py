@@ -75,6 +75,13 @@ class TestTraceFormats:
         _, trace = close(triangle, faces(triangle), [1, 3])
         assert format_trace(trace) == "manual: 1 3\nstep 1 vertex 2 face 1\n"
 
+    @pytest.mark.parametrize(
+        "line", ["manual: 1 \uff13", "step 1 vertex 2 face 0_1"], ids=["fullwidth", "underscore"]
+    )
+    def test_text_ids_are_ascii_digits(self, line):
+        with pytest.raises(BandlinkError, match=f"line 1: bad trace line {line!r}"):
+            parse_trace(line + "\n")
+
 
 def _engine_state(engine: Closure):
     return list(engine.count), list(engine.sum), list(engine.colored)
