@@ -9,10 +9,10 @@ group rank n.  A larger witness only gives an interval.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .band import BandDiagram
+from .errors import dump_json
 from .hull import HullResult, check_witness
 
 
@@ -111,4 +111,4 @@ def report_to_json(r: BoundsReport) -> str:
         ),
         "notes": list(r.notes),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)

@@ -61,8 +61,6 @@ def _cmd_validate(args) -> int:
         f"V={m.vertex_count} E={m.edge_count} F={len(faces(m))} "
         f"g={derived_genus(m)}"
     )
-    if len(m.components) > 1:
-        line += f" components={len(m.components)}"
     if bd is not None:
         line += f" n={bd.n}"
     print(line)

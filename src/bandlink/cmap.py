@@ -150,24 +150,6 @@ class CombinatorialMap:
         )
 
     @cached_property
-    def component_genera(self) -> tuple[int, ...]:
-        """Genus of each component by Euler's formula, ordered like ``components``.
-
-        V - E + F is even on every component: the signs of phi = sigma o alpha
-        give V + E - F = 2E = 0 (mod 2), so the halving is exact.
-        """
-        comp_of = [0] * (self.dart_count + 1)
-        for i, comp in enumerate(self.components):
-            for d in comp:
-                comp_of[d] = i
-        chi = [-(len(comp) // 2) for comp in self.components]
-        for cyc in self.vertex_cycles:
-            chi[comp_of[cyc[0]]] += 1
-        for face in self.faces:
-            chi[comp_of[face.boundary[0]]] += 1
-        return tuple((2 - c) // 2 for c in chi)
-
-    @cached_property
     def strands(self) -> tuple[Strand, ...]:
         """Straight-ahead walks through 4-valent vertices (2-valent pass through).
 
@@ -220,30 +202,21 @@ class Strand(NamedTuple):
 
 
 def validate(m: CombinatorialMap) -> None:
-    """Check a map's declared genus against Euler's formula.
+    """Check that a map is one connected surface of its declared genus.
 
-    A connected map must satisfy V - E + F = 2 - 2g for its declared genus.
-    A disconnected map is read as one sphere per component: it declares
-    genus 0 and every component must have genus 0.  A failure raises
-    :class:`BandlinkError`.  The permutation invariants need no check here:
-    the constructor enforces them.
+    A map with more than one component is refused first; a connected map
+    must then satisfy V - E + F = 2 - 2g for its declared genus.  A failure
+    raises :class:`BandlinkError`.  The permutation invariants need no check
+    here: the constructor enforces them.
     """
-    genera = m.component_genera
-    if len(genera) > 1:
-        if m.declared_genus != 0:
-            raise BandlinkError(
-                f"declared genus {clip_repr(m.declared_genus)} but a disconnected map "
-                "is read as spheres"
-            )
-        if any(genera):
-            raise BandlinkError(
-                f"per-component genera {genera} do not match expected {(0,) * len(genera)}"
-            )
-    elif sum(genera) != m.declared_genus:
+    if len(m.components) > 1:
+        raise BandlinkError(f"the map has {len(m.components)} components; it must be connected")
+    genus = derived_genus(m)
+    if genus != m.declared_genus:
         chi = m.vertex_count - m.edge_count + len(m.faces)
         raise BandlinkError(
             f"declared genus {clip_repr(m.declared_genus)} but V-E+F = {chi} "
-            f"gives genus {sum(genera)}"
+            f"gives genus {genus}"
         )
 
 
@@ -253,8 +226,14 @@ def faces(m: CombinatorialMap) -> tuple[Face, ...]:
 
 
 def derived_genus(m: CombinatorialMap) -> int:
-    """The genera of the map's components by Euler's formula, summed."""
-    return sum(m.component_genera)
+    """The genus of a connected map by Euler's formula; 0 with no darts.
+
+    V - E + F is even: the signs of phi = sigma o alpha give
+    V + E - F = 2E = 0 (mod 2), so the halving is exact.
+    """
+    if m.dart_count == 0:
+        return 0
+    return (2 - m.vertex_count + m.edge_count - len(m.faces)) // 2
 
 
 def _opposite(m: CombinatorialMap, d: int) -> int:

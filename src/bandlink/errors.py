@@ -8,9 +8,10 @@ exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
 that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
 message says what is wrong.  :func:`read_text` is how every reader opens
 its file, :func:`parse_json` and :func:`json_typed` are the one decoder and
-the one type check the JSON readers share, :func:`ascii_ints` reads every
-integer written as text, and :func:`clip_repr` bounds every input value an
-error message echoes.
+the one type check the JSON readers share, :func:`dump_json` is the one
+encoder the writers share, :func:`ascii_ints` reads every integer written
+as text, and :func:`clip_repr` bounds every input value an error message
+echoes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def parse_json(text: str, prefix: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise BandlinkError(f"{prefix}: {exc}") from exc
+
+
+def dump_json(doc) -> str:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    import json  # loaded only by the commands that write JSON
+
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def json_typed(value, kind: type, field: str):

