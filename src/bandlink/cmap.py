@@ -119,28 +119,6 @@ class CombinatorialMap:
         return self.dart_count // 2
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted dart tuples, ordered by least dart."""
-        n = self.dart_count
-        seen = [False] * (n + 1)
-        comps = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                d = stack.pop()
-                comp.append(d)
-                for nxt in (self.alpha[d - 1], self.sigma[d - 1]):
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append(nxt)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    @cached_property
     def faces(self) -> tuple[Face, ...]:
         """Faces as orbits of phi = sigma o alpha, ids ordered by least dart."""
         phi = tuple(self.sigma[a - 1] for a in self.alpha)
@@ -204,13 +182,11 @@ class Strand(NamedTuple):
 def validate(m: CombinatorialMap) -> None:
     """Check that a map is one connected surface of its declared genus.
 
-    A map with more than one component is refused first; a connected map
-    must then satisfy V - E + F = 2 - 2g for its declared genus.  A failure
-    raises :class:`BandlinkError`.  The permutation invariants need no check
-    here: the constructor enforces them.
+    :func:`derived_genus` refuses a map with more than one component; the
+    genus it derives must then equal the declared one.  A failure raises
+    :class:`BandlinkError`.  The permutation invariants need no check here:
+    the constructor enforces them.
     """
-    if len(m.components) > 1:
-        raise BandlinkError(f"the map has {len(m.components)} components; it must be connected")
     genus = derived_genus(m)
     if genus != m.declared_genus:
         chi = m.vertex_count - m.edge_count + len(m.faces)
@@ -228,10 +204,29 @@ def faces(m: CombinatorialMap) -> tuple[Face, ...]:
 def derived_genus(m: CombinatorialMap) -> int:
     """The genus of a connected map by Euler's formula; 0 with no darts.
 
-    V - E + F is even: the signs of phi = sigma o alpha give
-    V + E - F = 2E = 0 (mod 2), so the halving is exact.
+    A map with more than one component is not one surface: it raises
+    :class:`BandlinkError` naming the component count.  V - E + F is even:
+    the signs of phi = sigma o alpha give V + E - F = 2E = 0 (mod 2), so the
+    halving is exact.
     """
-    if m.dart_count == 0:
+    alpha, sigma = m.alpha, m.sigma
+    seen = [False] * (m.dart_count + 1)
+    count = 0
+    for start in range(1, m.dart_count + 1):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            d = stack.pop()
+            for nxt in (alpha[d - 1], sigma[d - 1]):
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+    if count > 1:
+        raise BandlinkError(f"the map has {count} components; it must be connected")
+    if count == 0:
         return 0
     return (2 - m.vertex_count + m.edge_count - len(m.faces)) // 2
 

@@ -85,7 +85,10 @@ def render_svg(
     coloring: Coloring | None = None,
     band: BandDiagram | None = None,
 ) -> str:
-    """Draw a genus zero map as SVG text.
+    """Draw a connected genus zero map as SVG text.
+
+    :func:`derived_genus` refuses a map with several components; a map of
+    any genus but 0 is refused after it.
 
     ``coloring`` tints vertices by percolation step, ``band`` colors vertex
     outlines by crossing kind and adds hover titles with the provenance.

@@ -8,11 +8,12 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import random
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from bandlink import BandSpec, CombinatorialMap, derived_genus, faces, validate
+from bandlink import BandSpec, CombinatorialMap, build_band, derived_genus, faces, validate
 from bandlink.band import KIND_TWIST, BandDiagram, _Builder
 from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from bandlink.hull import DEFAULT_BUDGET, HullResult
@@ -101,10 +102,10 @@ def random_four_valent(rng, h: int, want_genus: int = 0) -> CombinatorialMap:
             alpha[a - 1], alpha[b - 1] = b, a
         try:
             m = CombinatorialMap(darts, tuple(alpha), tuple(sigma), want_genus)
+            validate(m)
         except BandlinkError:
             continue
-        if len(m.components) <= 1 and derived_genus(m) == want_genus:
-            return m
+        return m
 
 
 def random_spec(rng, cap: int = 18, want_genus: int = 0) -> BandSpec:
@@ -134,6 +135,23 @@ def random_spec(rng, cap: int = 18, want_genus: int = 0) -> BandSpec:
             row.append(t)
         twists.append(tuple(row))
     return BandSpec(base, tuple(subs), tuple(twists))
+
+
+def oversized_witness_band() -> BandDiagram:
+    """A band diagram whose walk colors everything from one start face with
+    one pick too many.
+
+    The seeded spec has V = 16 and n = 3, with base faces 2, 5 and 11.  Its
+    provenance is rewritten to mark faces 6, 12, 16 and 18 as base and the
+    rest as internal.  From face 16 the walk colors every vertex with three
+    picks where n - 1 = 2 are expected; every other start dead-ends.
+    """
+    bd = build_band(random_spec(random.Random(11), 22, 0))
+    provenance = tuple(
+        fid if fid in (6, 12, 16, 18) else None
+        for fid in range(1, len(bd.face_provenance) + 1)
+    )
+    return BandDiagram(bd.diagram, bd.crossing_kind, provenance)
 
 
 def bench_gen():
@@ -167,9 +185,10 @@ def random_map(rng, max_edges: int = 10) -> CombinatorialMap:
         sigma = list(range(1, darts + 1))
         rng.shuffle(sigma)
         m = CombinatorialMap(darts, tuple(alpha), tuple(sigma), 0)
-        if len(m.components) > 1:
+        try:
+            g = derived_genus(m)
+        except BandlinkError:
             continue
-        g = derived_genus(m)
         return CombinatorialMap(darts, tuple(alpha), tuple(sigma), g)
 
 
@@ -343,10 +362,7 @@ def reference_walk(bd):
     messages.
     """
     m = bd.diagram
-    if len(m.components) > 1:
-        raise ConstructionStuck(
-            "the chain walk needs a connected diagram", ("diagram is disconnected",)
-        )
+    derived_genus(m)  # a disconnected diagram raises BandlinkError
     if m.vertex_count == 0:
         return HullResult((), "constructive")
 
@@ -586,14 +602,10 @@ def reference_build(spec: BandSpec) -> BandDiagram:
     if dl.vertex_count != 2 * len(two) + 4 * len(four) + twist_total:
         raise RuntimeError("crossing count does not add up")
 
-    # Genus preservation: a disconnected base is all spheres (BandSpec
-    # validated it), so checking the diagram against its declared genus and
-    # the base's component count checks every component.
-    if not len(dl.components) == len(m.components) == len(base.components):
-        raise BandlinkError(
-            f"band diagram has {len(dl.components)} components but the base "
-            f"has {len(base.components)}"
-        )
+    # Genus preservation: validate refuses a disconnected map, so the base,
+    # its subdivision and the diagram are each one surface of the genus
+    # the base declares.
+    validate(base)
     validate(dl)
 
     face_of_dart = {}

@@ -11,11 +11,13 @@ import pytest
 
 import bandlink
 import bandlink.hull
-from bandlink import load_cmap, parse_trace, trace_to_json, validate
+from bandlink import format_cmap, load_cmap, parse_trace, provenance_to_json, trace_to_json, validate
 from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
 from bandlink.percolation import format_trace
-from helpers import FIXTURES, HUGE, LOOP1_SIDECAR, OVERLONG, TORUS_SIDECAR, sidecar
+from helpers import (
+    FIXTURES, HUGE, LOOP1_SIDECAR, OVERLONG, TORUS_SIDECAR, oversized_witness_band, sidecar,
+)
 
 TRIANGLE = str(FIXTURES / "triangle.cmap")
 CURL = str(FIXTURES / "curl.cmap")
@@ -376,6 +378,18 @@ class TestHull:
         assert log and all(line.startswith("  ") for line in log)
         assert any("dead end" in line for line in log)
 
+    def test_oversized_witness_is_logged(self, tmp_path, capsys):
+        # report's walk concedes a start face whose witness has the wrong size.
+        bd = oversized_witness_band()
+        (tmp_path / "b.cmap").write_text(format_cmap(bd.diagram))
+        (tmp_path / "edited.json").write_text(provenance_to_json(bd))
+        args = ["report", str(tmp_path / "b.cmap"), "--provenance", str(tmp_path / "edited.json")]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: every start face led to a dead end\n")
+        assert "  witness from face 16 has 3 vertices, expected 2\n" in captured.err
+
 
 class TestReport:
     def test_conclusive(self, built, capsys):
@@ -550,6 +564,8 @@ class TestRender:
         ("foreign-manual-line", "t.txt", lambda text: "manual: 99 100\n" + text,
          "manual: 99 100", "manual: 1 3"),
         ("trailing-blank-lines", "t.txt", lambda text: text + "\n\n", "", "end of trace"),
+        ("interior-blank-line", "t.txt", lambda text: "{}\n{}\n\n{}".format(*text.split("\n", 2)),
+         "", "step 1 vertex 4 face 7"),
         ("extra-json-fields", "t.json", lambda text: json.dumps(
             dict(json.loads(text), note="x",
                  steps=[dict(s, extra=0) for s in json.loads(text)["steps"]]),

@@ -109,10 +109,20 @@ class TestDisconnected:
             with pytest.raises(BandlinkError, match="^the map has 2 components; it must be connected$"):
                 validate(two)
 
+    def test_derived_genus_refuses_several_components(self, triangle, torus):
+        # Euler's formula alone would give genus -1 and 0 for these.
+        for two in (disjoint_union(triangle, triangle),
+                    disjoint_union(triangle, torus)):
+            with pytest.raises(BandlinkError, match="^the map has 2 components; it must be connected$"):
+                derived_genus(two)
+        three = disjoint_union(disjoint_union(triangle, torus), triangle)
+        with pytest.raises(BandlinkError, match="^the map has 3 components; it must be connected$"):
+            derived_genus(three)
+
     def test_empty_map_validates(self):
         empty = CombinatorialMap(0, (), (), 0)
         validate(empty)
-        assert (empty.components, derived_genus(empty)) == ((), 0)
+        assert derived_genus(empty) == 0
 
 
 class TestTextFormat:
@@ -272,7 +282,6 @@ class TestRandomizedInvariants:
         for _ in range(50):
             m = random_map(rng)
             validate(m)
-            assert len(m.components) == 1
             assert (
                 m.vertex_count - m.edge_count + len(faces(m))
                 == 2 - 2 * derived_genus(m)
@@ -282,7 +291,7 @@ class TestRandomizedInvariants:
         rng = random.Random(11)
         for _ in range(200):
             m = random_map(rng)
-            assert len(m.components) == 1
+            validate(m)
             chi = m.vertex_count - m.edge_count + len(faces(m))
             assert chi % 2 == 0
             assert chi == 2 - 2 * derived_genus(m)

@@ -19,6 +19,7 @@ from helpers import (
     chain_spec,
     disjoint_union,
     iterative_exact,
+    oversized_witness_band,
     random_map,
     random_spec,
     reference_exact,
@@ -261,6 +262,14 @@ class TestConstructiveAgainstRescan:
 
     def test_torus_fixture(self, torus_band):
         assert self.assert_same(torus_band) == "stuck"
+
+    def test_oversized_witness(self):
+        # A walk that colors everything with one pick too many concedes that
+        # start face and goes on to the next.
+        bd = oversized_witness_band()
+        assert self.assert_same(bd) == "stuck"
+        _, _, log = self.outcome(hull_constructive_band, bd)
+        assert "witness from face 16 has 3 vertices, expected 2" in log
 
     def test_face_test_on_every_flag_list(self):
         # Every face of up to 12 corners, read as its colored flags: the walk

@@ -5,7 +5,7 @@ import pytest
 from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import BandlinkError
 from bandlink.render import _layout
-from helpers import circle_map, random_map, random_spec, reference_layout
+from helpers import circle_map, disjoint_union, random_map, random_spec, reference_layout
 
 
 class TestBasics:
@@ -32,6 +32,13 @@ class TestGenusGate:
     def test_torus_is_rejected(self, torus):
         with pytest.raises(BandlinkError, match="has genus 1; only genus 0 renders"):
             render_svg(torus)
+
+    def test_disconnected_map_is_rejected(self, triangle):
+        # Two spheres side by side have V-E+F = 4, which Euler's formula
+        # alone would read as genus -1: the component count is named instead.
+        two = disjoint_union(triangle, triangle)
+        with pytest.raises(BandlinkError, match="^the map has 2 components; it must be connected$"):
+            render_svg(two)
 
 
 class TestDecoration:
@@ -109,7 +116,7 @@ def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
 
 def _assert_layouts_match(maps) -> None:
     for m in maps:
-        assert _layout(m) == reference_layout(m, m.components[0], m.faces)
+        assert _layout(m) == reference_layout(m, range(1, m.dart_count + 1), m.faces)
 
 
 class TestLayout:
