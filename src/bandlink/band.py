@@ -389,7 +389,8 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
     The map must be 4-regular, as every built diagram is.  Crossing and face
     entries must cover each vertex and face id once, and the recorded ``n``,
     ``degenerate`` and ``circle_of_strand`` must equal the values derived
-    from the map.
+    from the map and have their JSON types: they are compared by ``repr``,
+    so ``3.0`` is not ``3`` and ``0`` is not ``false``.
     """
     if m.dart_count == 0:
         raise BandlinkError("the map has no darts; a band diagram has at least one crossing")
@@ -446,7 +447,7 @@ def band_diagram_from_provenance(m: CombinatorialMap, text: str) -> BandDiagram:
         "circle_of_strand": list(range(1, bd.n + 1)),
     }
     for key, want in derived.items():
-        if recorded[key] != want:
+        if repr(recorded[key]) != repr(want):
             raise BandlinkError(
                 f"provenance {key} {clip_repr(recorded[key])} does not match "
                 f"the map's {clip_repr(want)}"

@@ -17,27 +17,36 @@ from typing import NamedTuple, Sequence
 from .errors import BandlinkError, ascii_ints, clip_repr, read_text
 
 
-def cycles_of_images(images: Sequence[int]) -> list[tuple[int, ...]]:
-    """Decompose a permutation given as a 1-based image array into cycles.
+def cycles_of_images(*images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The orbits of the darts under one 1-based image array, or two in turn.
 
-    Each cycle is rotated to start at its smallest element and cycles are
-    sorted by that element, so the output is canonical.  ``images`` must be a
-    permutation: the maps pass only their constructor-checked ``alpha`` and
-    ``sigma``, or ``phi``, their composition.
+    One array gives its permutation's cycles.  Two give the orbits x, a(x),
+    b(a(x)), ...; for two fixed-point-free involutions each closes after an
+    even number of steps and holds each dart once.  Each orbit starts at its
+    smallest dart and orbits are sorted by it, so the output is canonical.
+    Every array must be a permutation: the maps pass their constructor-checked
+    ``alpha`` and ``sigma``, or permutations built from them.
     """
-    n = len(images)
+    first, second = images[0], images[-1]
+    n = len(first)
     seen = [False] * (n + 1)
     cycles: list[tuple[int, ...]] = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
-        cyc = [start]
-        seen[start] = True
-        d = images[start - 1]
-        while d != start:
+        cyc = []
+        d = start
+        while True:
             cyc.append(d)
             seen[d] = True
-            d = images[d - 1]
+            d = first[d - 1]
+            if d == start:
+                break
+            cyc.append(d)
+            seen[d] = True
+            d = second[d - 1]
+            if d == start:
+                break
         cycles.append(tuple(cyc))
     return cycles
 
@@ -131,28 +140,23 @@ class CombinatorialMap:
     def strands(self) -> tuple[Strand, ...]:
         """Straight-ahead walks through 4-valent vertices (2-valent pass through).
 
-        The walks partition the darts; each strand is the projection of one
+        A strand alternates ``alpha`` with the opposite dart: sigma at a
+        2-valent vertex, sigma squared at a 4-valent one.  Another valence
+        raises :class:`BandlinkError` naming the lowest such vertex.  The
+        walks partition the darts; each strand is the projection of one
         closed curve.  Ids are ordered by the least dart on the strand.
         """
-        n = self.dart_count
-        seen = [False] * (n + 1)
-        out = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            walk: list[int] = []
-            d = start
-            while True:
-                arrive = self.alpha[d - 1]
-                walk.append(d)
-                walk.append(arrive)
-                seen[d] = True
-                seen[arrive] = True
-                d = _opposite(self, arrive)
-                if d == start:
-                    break
-            out.append(Strand(len(out) + 1, tuple(walk)))
-        return tuple(out)
+        opposite = [0] * self.dart_count
+        for vid, cyc in enumerate(self.vertex_cycles, start=1):
+            if len(cyc) not in (2, 4):
+                raise BandlinkError(
+                    f"vertex {vid} has valence {len(cyc)}; strands need 2 or 4"
+                )
+            half = len(cyc) // 2
+            for i, d in enumerate(cyc):
+                opposite[d - 1] = cyc[i - half]
+        walks = cycles_of_images(self.alpha, opposite)
+        return tuple(Strand(sid, walk) for sid, walk in enumerate(walks, start=1))
 
 
 class Face:
@@ -229,18 +233,6 @@ def derived_genus(m: CombinatorialMap) -> int:
     if count == 0:
         return 0
     return (2 - m.vertex_count + m.edge_count - len(m.faces)) // 2
-
-
-def _opposite(m: CombinatorialMap, d: int) -> int:
-    """The dart opposite d in its vertex rotation; valence must be 2 or 4."""
-    val = len(m.vertex_cycles[m.vertex_of[d - 1] - 1])
-    if val == 2:
-        return m.sigma[d - 1]
-    if val == 4:
-        return m.sigma[m.sigma[d - 1] - 1]
-    raise BandlinkError(
-        f"vertex {m.vertex_of[d - 1]} has valence {val}; strands need 2 or 4"
-    )
 
 
 def strands(m: CombinatorialMap) -> tuple[Strand, ...]:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from bandlink import BandSpec, CombinatorialMap, build_band, derived_genus, faces, validate
 from bandlink.band import KIND_TWIST, BandDiagram, _Builder
+from bandlink.cmap import Strand
 from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from bandlink.hull import DEFAULT_BUDGET, HullResult
 from bandlink.percolation import Closure
@@ -203,6 +204,46 @@ def relabel(rng, m: CombinatorialMap) -> CombinatorialMap:
         sigma[perm[d - 1] - 1] = perm[m.sigma[d - 1] - 1]
     return CombinatorialMap(
         m.dart_count, tuple(alpha), tuple(sigma), m.declared_genus
+    )
+
+
+def reference_strands(m: CombinatorialMap) -> tuple[Strand, ...]:
+    """The strands as ``CombinatorialMap.strands`` walked them before it
+    became ``cycles_of_images(alpha, opposite)``: one loop of its own that
+    looks each arrival's valence up again.  Kept as the oracle for the
+    orbit walker; it names the first bad vertex its walk reaches, not the
+    lowest one.
+    """
+    n = m.dart_count
+    seen = [False] * (n + 1)
+    out = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        walk: list[int] = []
+        d = start
+        while True:
+            arrive = m.alpha[d - 1]
+            walk.append(d)
+            walk.append(arrive)
+            seen[d] = True
+            seen[arrive] = True
+            d = _opposite(m, arrive)
+            if d == start:
+                break
+        out.append(Strand(len(out) + 1, tuple(walk)))
+    return tuple(out)
+
+
+def _opposite(m: CombinatorialMap, d: int) -> int:
+    """The dart opposite d in its vertex rotation; valence must be 2 or 4."""
+    val = len(m.vertex_cycles[m.vertex_of[d - 1] - 1])
+    if val == 2:
+        return m.sigma[d - 1]
+    if val == 4:
+        return m.sigma[m.sigma[d - 1] - 1]
+    raise BandlinkError(
+        f"vertex {m.vertex_of[d - 1]} has valence {val}; strands need 2 or 4"
     )
 
 

@@ -430,6 +430,14 @@ BAD_SIDECARS = [
     ("n-mismatch", _set(("n",), 4), "provenance n 4"),
     ("degenerate-mismatch", _set(("degenerate",), True), "provenance degenerate True"),
     ("circles-mismatch", _set(("circle_of_strand",), [3, 3, 3]), "circle_of_strand [3, 3, 3]"),
+    # Equal in Python but not the JSON types the writer writes.
+    ("n-float", _set(("n",), 3.0), "provenance n 3.0 does not match the map's 3"),
+    ("degenerate-zero", _set(("degenerate",), 0), "provenance degenerate 0 does not match"),
+    (
+        "circles-float",
+        _set(("circle_of_strand",), [1.0, 2.0, 3.0]),
+        "circle_of_strand [1.0, 2.0, 3.0] does not match the map's [1, 2, 3]",
+    ),
     # Echoed values are clipped to 80 characters of their repr.
     ("format-long", _set(("format",), "x" * 5000), "format '" + "x" * 79 + "..."),
     (

@@ -248,7 +248,7 @@ class TestFacesAndStrands:
         assert main(["strands", str(theta)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: vertex 2 has valence 3; strands need 2 or 4\n"
+        assert captured.err == "error: vertex 1 has valence 3; strands need 2 or 4\n"
 
 
 class TestBuildBand:

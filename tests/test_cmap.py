@@ -5,6 +5,7 @@ import pytest
 
 from bandlink import (
     CombinatorialMap,
+    build_band,
     derived_genus,
     faces,
     format_cmap,
@@ -15,7 +16,15 @@ from bandlink import (
 )
 from bandlink.cmap import cycles_of_images
 from bandlink.errors import BandlinkError
-from helpers import FIXTURES, HUGE, disjoint_union, random_map, relabel
+from helpers import (
+    FIXTURES,
+    HUGE,
+    disjoint_union,
+    random_map,
+    random_spec,
+    reference_strands,
+    relabel,
+)
 
 
 class TestPermutationHelpers:
@@ -28,6 +37,18 @@ class TestPermutationHelpers:
             for cyc in cycles
             for i in range(len(cyc))
         )
+
+    def test_two_involutions_alternate(self):
+        alpha = (2, 1, 4, 3, 6, 5)
+        other = (3, 4, 1, 2, 6, 5)
+        orbits = cycles_of_images(alpha, other)
+        assert orbits == [(1, 2, 4, 3), (5, 6)]
+        assert all(
+            (alpha if i % 2 == 0 else other)[orb[i] - 1] == orb[(i + 1) % len(orb)]
+            for orb in orbits
+            for i in range(len(orb))
+        )
+        assert cycles_of_images(alpha, alpha) == cycles_of_images(alpha)
 
 
 class TestConstruction:
@@ -322,9 +343,40 @@ class TestRandomizedInvariants:
             for a, b in zip(pool[0::2], pool[1::2]):
                 alpha[a - 1], alpha[b - 1] = b, a
             m = relabel(rng, CombinatorialMap(darts, alpha, sigma, 0))
+            assert strands(m) == reference_strands(m)
             walks = [s.darts for s in strands(m)]
             assert all(len(set(w)) == len(w) for w in walks)
             assert sorted(d for w in walks for d in w) == list(range(1, darts + 1))
+
+    def test_strands_match_the_reference_walk(self):
+        # Built bands of genus 0 and 1, their bases and relabelled copies,
+        # the fixtures and maps of any valence: the same strands, or an
+        # error from both, which names the lowest vertex of another valence.
+        rng = random.Random(13)
+        maps = [load_cmap(path) for path in sorted(FIXTURES.glob("*.cmap"))]
+        for genus in (0, 1):
+            for _ in range(30):
+                spec = random_spec(rng, want_genus=genus)
+                diagram = build_band(spec).diagram
+                maps += [spec.base, diagram, relabel(rng, diagram)]
+        maps += [random_map(rng) for _ in range(150)]
+        raised = 0
+        for m in maps:
+            try:
+                want = reference_strands(m)
+            except BandlinkError:
+                raised += 1
+                vid, k = next(
+                    (vid, len(cyc))
+                    for vid, cyc in enumerate(m.vertex_cycles, start=1)
+                    if len(cyc) not in (2, 4)
+                )
+                message = f"vertex {vid} has valence {k}; strands need 2 or 4"
+                with pytest.raises(BandlinkError, match=re.escape(message)):
+                    strands(m)
+            else:
+                assert strands(m) == want
+        assert 0 < raised < len(maps)
 
     def test_face_boundaries_partition_darts(self):
         rng = random.Random(10)
