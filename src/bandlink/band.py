@@ -312,11 +312,27 @@ def build_band(spec: BandSpec) -> BandDiagram:
 PROVENANCE_FORMAT = "bandlink-provenance v1"
 
 
+def _refuse_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key of ``doc`` outside ``known``, so a misspelt key never
+    falls back to its default."""
+    for key in doc:
+        if key not in known:
+            raise BandlinkError(
+                f"{where}: unknown key {clip_repr(key)}; known keys are "
+                + ", ".join(map(repr, known))
+            )
+
+
 def load_band_spec(path) -> BandSpec:
-    """Read a band spec JSON document; the base map path is relative to it."""
+    """Read a band spec JSON document; the base map path is relative to it.
+
+    Only the keys ``map`` and ``edges``, and ``edge``, ``subdivisions`` and
+    ``twists`` in an edge entry, are read; any other key is refused.
+    """
     doc = parse_json(read_text(path), str(path))
     if not isinstance(doc, dict) or "map" not in doc:
         raise BandlinkError(f"{path}: missing 'map' entry")
+    _refuse_unknown_keys(doc, ("map", "edges"), str(path))
     map_path = doc["map"]
     if not isinstance(map_path, str) or "\0" in map_path:
         raise BandlinkError(f"{path}: 'map' must be a path string without NUL")
@@ -334,6 +350,7 @@ def load_band_spec(path) -> BandSpec:
     for entry in edges:
         try:
             eid = json_typed(entry["edge"], int, "edge")
+            _refuse_unknown_keys(entry, ("edge", "subdivisions", "twists"), f"edge {eid}")
             k = json_typed(entry.get("subdivisions", 0), int, "subdivisions")
             # Capped before the default twists are allocated.  A negative
             # count gets no default twists; BandSpec reports it.

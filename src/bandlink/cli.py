@@ -70,24 +70,27 @@ def _cmd_validate(args) -> int:
 def _cmd_faces(args) -> int:
     from .cmap import faces
     m, bd = _load(args.path, args.provenance)
+    lines = []
     for f in faces(m):
         line = (
             f"face {f.id}: darts "
-            + " ".join(str(d) for d in f.boundary)
+            + " ".join(map(str, f.boundary))
             + " vertices "
-            + " ".join(str(v) for v in f.vertex_list)
+            + " ".join(map(str, f.vertex_list))
         )
         if bd is not None and bd.face_provenance[f.id - 1] is not None:
             line += f" origin={bd.face_provenance[f.id - 1]}"
-        print(line)
+        lines.append(line + "\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_strands(args) -> int:
     from .cmap import strands
     m, _ = _load(args.path)
-    for s in strands(m):
-        print(f"strand {s.id}: " + " ".join(str(d) for d in s.darts))
+    sys.stdout.write(
+        "".join(f"strand {s.id}: " + " ".join(map(str, s.darts)) + "\n" for s in strands(m))
+    )
     return 0
 
 
@@ -148,13 +151,14 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .bounds import format_report, report, report_to_json
     from .hull import hull_constructive_band, hull_exact
     bd = _band(_load(args.path, args.provenance)[1], "report")
     if args.exact:
         result = hull_exact(bd.diagram)
     else:
         result = hull_constructive_band(bd)
+    # Only now: a walk that dead-ends never loads the bounds layer.
+    from .bounds import format_report, report, report_to_json
     rep = report(bd, result)
     sys.stdout.write(report_to_json(rep) if args.json else format_report(rep))
     return 0 if rep.conclusive else 3
@@ -276,9 +280,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConstructionStuck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for line in exc.log:
-            print(f"  {line}", file=sys.stderr)
+        # One write: the log runs to thousands of lines on a torus band.
+        sys.stderr.write(f"error: {exc}\n" + "".join(f"  {line}\n" for line in exc.log))
         return exc.exit_code
     except BandlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)

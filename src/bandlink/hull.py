@@ -149,9 +149,13 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     ConstructionStuck with the decision log when no start face leads to a
     full coloring with an n - 1 vertex witness.
 
-    Candidate faces sit on a heap, pushed when a corner of theirs is colored.
-    A face that does not extend is dropped until then: its run and picks
-    depend only on its own corners and on the touched circles, which only grow.
+    Candidate faces sit on a heap, pushed when a corner of theirs is colored
+    and another is not.  A face that does not extend is dropped until then:
+    its run and picks depend only on its own corners and on the touched
+    circles, which only grow, and a face with every corner colored never
+    extends again.
+    Two per-vertex tables, built once for all start faces, serve each newly
+    colored vertex: its pair of circles and its base-derived faces.
     """
     m = bd.diagram
     faces_list = faces(m)
@@ -160,13 +164,16 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     if not base_faces:
         raise ConstructionStuck("no base-derived faces to walk", ())
 
-    circles_of = bd.circles_of_vertex
     # One engine serves every start face: each attempt grows it with add()
     # and resets it to the empty coloring before the next.  touched[c]
-    # says whether circle c has a colored vertex.
+    # says whether circle c has a colored vertex, and uncolored[i], the
+    # engine's own count, how many distinct corners of face i are uncolored.
     engine = Closure(m.vertex_count, faces_list)
-    colored, order = engine.colored, engine.order
+    colored, order, uncolored = engine.colored, engine.order, engine.count
     touched = [False] * (bd.n + 1)
+    # Indexed by vertex id, with an unused entry at 0, like engine.faces_of.
+    circles = [(0, 0), *bd.circles_of_vertex]
+    base_faces_of = [[i for i in fs if is_base[i]] for fs in engine.faces_of]
 
     def picks_along(face, positions) -> list[int]:
         # No position holds a colored corner: pick one with a circle that
@@ -175,11 +182,11 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         claimed: set[int] = set()
         for pos in positions:
             v = face.vertex_list[pos]
-            if any(
-                not touched[c] and c not in claimed for c in circles_of[v - 1]
-            ):
+            a, b = circles[v]
+            if (not touched[a] and a not in claimed) or (not touched[b] and b not in claimed):
                 picks.append(v)
-                claimed.update(circles_of[v - 1])
+                claimed.add(a)
+                claimed.add(b)
         return picks
 
     def attempt(f0, log: list[str]) -> set[int] | None:
@@ -193,18 +200,16 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         picks = picks_along(
             f0, [p for p, v in enumerate(f0.vertex_list) if v != top]
         )
-        log.append(
-            f"start face {f0.id}: color " + " ".join(str(v) for v in picks)
-        )
+        log.append(f"start face {f0.id}: color " + " ".join(map(str, picks)))
         while True:
             manual.update(picks)
             mark = len(order)
             engine.add(picks)
             for v in order[mark:]:
-                for c in circles_of[v - 1]:
-                    touched[c] = True
-                for i in engine.faces_of[v]:
-                    if is_base[i] and not queued[i]:
+                a, b = circles[v]
+                touched[a] = touched[b] = True
+                for i in base_faces_of[v]:
+                    if not queued[i] and uncolored[i]:
                         queued[i] = True
                         heappush(heap, i)
             if len(order) == m.vertex_count:
@@ -222,9 +227,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
             else:
                 log.append(f"dead end from face {f0.id}")
                 return None
-            log.append(
-                f"face {f.id}: color " + " ".join(str(v) for v in picks)
-            )
+            log.append(f"face {f.id}: color " + " ".join(map(str, picks)))
         if len(manual) != bd.n - 1:
             log.append(
                 f"witness from face {f0.id} has {len(manual)} vertices, "
@@ -237,12 +240,8 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     # generic picture ("m vertices, m circle components"); try those first,
     # then every remaining start before conceding.
     def generic(f) -> bool:
-        circles = {
-            c for v in f.distinct_vertices for c in bd.circles_of_vertex[v - 1]
-        }
-        return (
-            len(f.vertex_list) == len(f.distinct_vertices) == len(circles)
-        )
+        touching = {c for v in f.distinct_vertices for c in circles[v]}
+        return len(f.vertex_list) == len(f.distinct_vertices) == len(touching)
 
     log: list[str] = []
     for f0 in sorted(base_faces, key=lambda f: not generic(f)):

@@ -77,6 +77,9 @@ class Closure:
     vertex starts there.  ``order`` lists the colored vertices in coloring
     order, so a mark is a length of it.  ``visits`` counts face visits: one
     per face at construction plus one per face each colored vertex touches.
+    :meth:`add` colors in one local loop, with no method call per vertex;
+    :meth:`color` serves :func:`close`, whose simultaneous rounds color a
+    round's vertices without running the rule.
     """
 
     def __init__(self, vertex_count: int, faces_list: Sequence[Face]):
@@ -104,14 +107,39 @@ class Closure:
                 self.ready.append(f)
 
     def add(self, vertices: Iterable[int]) -> None:
-        """Color the given vertices, then run the rule to its fixpoint."""
-        for v in vertices:
-            if not self.colored[v]:
-                self.color(v)
-        while self.ready:
-            f = self.ready.pop()
-            if self.count[f] == 1:
-                self.color(self.sum[f])
+        """Color the given vertices, then run the rule to its fixpoint.
+
+        The given vertices come first, in their order, then each vertex a
+        popped ready face names; one local loop colors them all, and
+        ``visits`` grows once, at the end.
+        """
+        colored, order, count, total = self.colored, self.order, self.count, self.sum
+        faces_of, ready = self.faces_of, self.ready
+        given = list(vertices)
+        given.reverse()
+        visits = 0
+        while True:
+            if given:
+                v = given.pop()
+                if colored[v]:
+                    continue
+            elif ready:
+                f = ready.pop()
+                if count[f] != 1:
+                    continue
+                v = total[f]
+            else:
+                break
+            colored[v] = True
+            order.append(v)
+            fs = faces_of[v]
+            visits += len(fs)
+            for f in fs:
+                count[f] -= 1
+                total[f] -= v
+                if count[f] == 1:
+                    ready.append(f)
+        self.visits += visits
 
     def reset(self) -> None:
         """Uncolor everything, restoring the state as built; ``visits`` stays."""

@@ -359,6 +359,13 @@ class TestSpecFiles:
                 {"map": "base.cmap", "edges": [{"edge": 1, "twists": [0.0]}]},
                 "bad edge entry",
             ),
+            # A misspelt key is refused, not read as its default.
+            ({"map": "base.cmap", "edge": []}, "spec.json: unknown key 'edge'"),
+            (
+                {"map": "base.cmap", "edges": [
+                    {"edge": 1, "subdivisions": 1, "twist": [3, 0]}]},
+                "edge 1: unknown key 'twist'",
+            ),
         ],
     )
     def test_bad_documents(self, tmp_path, triangle, doc, fragment):

@@ -11,9 +11,13 @@ import pytest
 
 import bandlink
 import bandlink.hull
-from bandlink import format_cmap, load_cmap, parse_trace, provenance_to_json, trace_to_json, validate
+from bandlink import (
+    build_band, format_cmap, hull_constructive_band, load_band_spec, load_cmap, parse_trace,
+    provenance_to_json, trace_to_json, validate,
+)
 from bandlink.band import MAX_CROSSINGS
 from bandlink.cli import main
+from bandlink.errors import ConstructionStuck
 from bandlink.percolation import format_trace
 from helpers import (
     FIXTURES, HUGE, LOOP1_SIDECAR, OVERLONG, TORUS_SIDECAR, oversized_witness_band, sidecar,
@@ -378,6 +382,21 @@ class TestHull:
         assert log and all(line.startswith("  ") for line in log)
         assert any("dead end" in line for line in log)
 
+    @pytest.mark.parametrize(
+        "command", [["hull", "--constructive"], ["report"]], ids=["hull", "report"]
+    )
+    def test_stuck_output_bytes(self, torus_spec, command, capsys):
+        # The library's own error and log, written byte for byte.
+        with pytest.raises(ConstructionStuck) as stuck:
+            hull_constructive_band(build_band(load_band_spec(torus_spec)))
+        exc = stuck.value
+        assert main([command[0], torus_spec, *command[1:]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + str(exc) + "\n" + "".join(
+            "  " + line + "\n" for line in exc.log
+        )
+
     def test_oversized_witness_is_logged(self, tmp_path, capsys):
         # report's walk concedes a start face whose witness has the wrong size.
         bd = oversized_witness_band()
@@ -675,12 +694,15 @@ class TestBadInputFiles:
             # The triangle's three clasps are 6 crossings.
             json.dumps({"map": "base.cmap", "edges": [
                 {"edge": 1, "twists": [MAX_CROSSINGS - 6 + 1]}]}),
+            # "twists" misspelt: refused, not built untwisted.
+            json.dumps({"map": "base.cmap", "edges": [
+                {"edge": 1, "subdivisions": 1, "twist": [3, 0]}]}),
         ],
         ids=[
             "map-number", "edges-number", "edge-float", "twists-string",
             "edges-nested-deep", "edge-entry-nested-900", "edge-huge",
             "subdivisions-huge", "twist-huge", "edge-overlong", "subdivisions-over-cap",
-            "twists-over-cap", "one-over-cap",
+            "twists-over-cap", "one-over-cap", "twist",
         ],
     )
     def test_bad_spec(self, tmp_path, body, capsys):
@@ -808,8 +830,17 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv,own",
         [pytest.param(argv, own, id=argv[0]) for argv, own in COMMANDS]
-        + [pytest.param(["hull", TORUS], HULL_CMAP, id="hull-cmap")],
+        + [
+            pytest.param(["hull", TORUS], HULL_CMAP, id="hull-cmap"),
+            # A walk that dead-ends has no report to make, so no bounds layer.
+            pytest.param(
+                ["report", "torus.json"],
+                HULL_CMAP | {"bandlink.band"},
+                id="report-dead-end",
+            ),
+        ],
     )
+    @pytest.mark.usefixtures("torus_spec")
     def test_extra_modules(self, argv, own, bare, tmp_path):
         extra = _fresh_modules(tmp_path, argv) - bare
         assert "bandlink.cli" in extra and "dataclasses" not in extra
@@ -850,11 +881,14 @@ class TestMutationFuzz:
     """Seeded mutations (character edits, JSON value swaps) of every file the CLI reads.
 
     Each mutated file goes through ``main()``; whatever it does to the
-    input, the command must end with a documented exit code.
+    input, the command must end with a documented exit code.  A spec with a
+    mangled key is refused, so few mutated specs build; the two spec sources
+    and 1,500 cases keep more than 100 mutations reaching past the parsers.
     """
 
-    CASES = 1000
+    CASES = 1500
     CMAPS = ("triangle.cmap", "curl.cmap", "loop1.cmap", "chain2_base.cmap", "torus.cmap")
+    SPECS = ("chain3.json", "curlband.json")
     ALPHABET = "0123456789-+.eE[]{}\",: \nabcgnrsvx"
     # A "value" edit swaps one number, string or literal for one of these,
     # so that the document stays valid while a field gets the wrong type.
@@ -889,7 +923,7 @@ class TestMutationFuzz:
 
     def test_mutated_inputs_exit_cleanly(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        for name in self.CMAPS + ("chain3.json",):
+        for name in self.CMAPS + self.SPECS:
             (tmp_path / name).write_text((FIXTURES / name).read_text())
         assert main(["build-band", "chain3.json", "-o", "c3.cmap",
                      "--provenance", "c3.prov.json"]) == 0
@@ -902,10 +936,13 @@ class TestMutationFuzz:
             for name in self.CMAPS
         ]
         sources += [
-            ("chain3.json",
+            (name,
              [["build-band", "m.json", "-o", "o.cmap", "--provenance", "o.json"],
               ["report", "m.json"]],
-             "m.json"),
+             "m.json")
+            for name in self.SPECS
+        ]
+        sources += [
             ("c3.prov.json",
              [["faces", "c3.cmap", "--provenance", "m.json"],
               ["report", "c3.cmap", "--provenance", "m.json"],

@@ -87,6 +87,32 @@ def _engine_state(engine: Closure):
     return list(engine.count), list(engine.sum), list(engine.colored)
 
 
+def _add_by_color(engine: Closure, vertices) -> None:
+    """``add`` by its definition: ``color`` each given vertex, then each
+    vertex a popped ready face names."""
+    for v in vertices:
+        if not engine.colored[v]:
+            engine.color(v)
+    while engine.ready:
+        f = engine.ready.pop()
+        if engine.count[f] == 1:
+            engine.color(engine.sum[f])
+
+
+def _random_steps(rng, engine: Closure, steps: int):
+    """Seeded calls for ``engine``: ("add", vertices), ("undo", mark) or
+    ("reset",), each drawn after the caller has made the one before."""
+    everybody = range(1, len(engine.colored))
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15:
+            yield ("reset",)
+        elif roll < 0.4 and engine.order:
+            yield ("undo", rng.randint(0, len(engine.order)))
+        else:
+            yield ("add", [v for v in everybody if rng.random() < 0.2])
+
+
 class TestEngine:
     def test_fixpoint_matches_sequential_reference(self):
         rng = random.Random(21)
@@ -156,6 +182,47 @@ class TestEngine:
             fresh.add(manual)
             assert set(engine.order) == set(fresh.order)
             assert _engine_state(engine) == _engine_state(fresh)
+
+
+    def test_visits_count_every_coloring(self):
+        # One visit per face at construction, plus len(faces_of[v]) each time
+        # v is colored, recolorings after undo and reset included.
+        rng = random.Random(26)
+        for _ in range(40):
+            m = random_map(rng)
+            fs = faces(m)
+            engine = Closure(m.vertex_count, fs)
+            want = len(fs)
+            for step in _random_steps(rng, engine, 8):
+                if step[0] == "add":
+                    mark = len(engine.order)
+                    engine.add(step[1])
+                    want += sum(len(engine.faces_of[v]) for v in engine.order[mark:])
+                elif step[0] == "undo":
+                    engine.undo(step[1])
+                else:
+                    engine.reset()
+                assert engine.visits == want
+
+    def test_add_matches_color_and_the_ready_rule(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            m = random_map(rng)
+            fs = faces(m)
+            engine = Closure(m.vertex_count, fs)
+            by_color = Closure(m.vertex_count, fs)
+            for step in _random_steps(rng, engine, 8):
+                if step[0] == "add":
+                    engine.add(step[1])
+                    _add_by_color(by_color, step[1])
+                elif step[0] == "undo":
+                    engine.undo(step[1])
+                    by_color.undo(step[1])
+                else:
+                    engine.reset()
+                    by_color.reset()
+                assert _engine_state(engine) == _engine_state(by_color)
+                assert (engine.order, engine.visits) == (by_color.order, by_color.visits)
 
 
 class TestClosureProperties:
