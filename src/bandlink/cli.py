@@ -182,15 +182,19 @@ def _cmd_render(args) -> int:
         text = read_text(args.trace)
         recorded = parse_trace(text)
         coloring, trace = close(m, faces(m), recorded.manual)
-        _refuse_difference(
-            format_trace(recorded).splitlines(),
-            format_trace(trace).splitlines(),
-            "the reclosure of its manual set has",
-        )
+        # Each check compares whole values and walks the lines only to name
+        # the first that differs.
+        if recorded != trace:
+            _refuse_difference(
+                format_trace(recorded).splitlines(),
+                format_trace(trace).splitlines(),
+                "the reclosure of its manual set has",
+            )
         # Then the file itself: exactly what `percolate --trace` writes, in
         # the flavour parse_trace read it as.
         written = trace_to_json(trace) if text.strip().startswith("{") else format_trace(trace)
-        _refuse_difference(text.split("\n"), written.split("\n"), "percolate --trace writes")
+        if text != written:
+            _refuse_difference(text.split("\n"), written.split("\n"), "percolate --trace writes")
     elif args.manual is not None:
         from .cmap import faces
         from .percolation import close

@@ -8,10 +8,11 @@ exit code of its own: :class:`BudgetExceeded` and :class:`ConstructionStuck`
 that does not percolate, is a plain :class:`BandlinkError` (exit 2) whose
 message says what is wrong.  :func:`read_text` is how every reader opens
 its file, :func:`parse_json` and :func:`json_typed` are the one decoder and
-the one type check the JSON readers share, :func:`dump_json` is the one
-encoder the writers share, :func:`ascii_ints` reads every integer written
-as text, and :func:`clip_repr` bounds every input value an error message
-echoes.
+the one type check the JSON readers share, :func:`dump_json` encodes the
+report and the provenance sidecar (the trace writer writes its fixed,
+integer-only shape itself, with the same bytes), :func:`ascii_ints` reads
+every integer written as text, and :func:`clip_repr` bounds every input
+value an error message echoes.
 """
 
 from __future__ import annotations

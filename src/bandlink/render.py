@@ -92,6 +92,11 @@ def render_svg(
 
     ``coloring`` tints vertices by percolation step, ``band`` colors vertex
     outlines by crossing kind and adds hover titles with the provenance.
+
+    Each vertex's point is offset by the margin and formatted once; its
+    circle and every edge end at it reuse those strings.  A label is placed
+    at the rounded ``x + 9`` and ``y - 9``, which are not the rounded point
+    plus 9, so it formats its own.
     """
     genus = derived_genus(m)
     if genus != 0:
@@ -108,10 +113,12 @@ def render_svg(
     min_y = min(y for _, y in pos.values()) - MARGIN
     max_y = max(y for _, y in pos.values()) + MARGIN
     width, height = max_x - min_x, max_y - min_y
-
-    def at(v: int) -> tuple[float, float]:
-        x, y = pos[v]
-        return x - min_x, y - min_y
+    # Indexed by vertex id; slot 0 is padding.
+    px = [0.0] * (m.vertex_count + 1)
+    py = [0.0] * (m.vertex_count + 1)
+    for v, (x, y) in pos.items():
+        px[v], py[v] = x - min_x, y - min_y
+    sx, sy = list(map(_fmt, px)), list(map(_fmt, py))
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -124,29 +131,30 @@ def render_svg(
         u, v = m.vertex_of[d - 1], m.vertex_of[dp - 1]
         by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
 
-    def edge(eid: int, tag: str, shape: str) -> None:
+    def curve(eid: int, d: str) -> None:
         lines.append(
-            f'<{tag} {shape} stroke="#555" stroke-width="1.5">'
-            f"<title>edge {eid}</title></{tag}>"
+            f'<path d="{d}" fill="none" stroke="#555" stroke-width="1.5">'
+            f"<title>edge {eid}</title></path>"
         )
 
     for (u, v), eids in sorted(by_pair.items()):
-        ux, uy = at(u)
-        vx, vy = at(v)
+        if len(eids) == 1 and u != v:
+            lines.append(
+                f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" '
+                f'stroke="#555" stroke-width="1.5"><title>edge {eids[0]}</title></line>'
+            )
+            continue
+        ux, uy, vx, vy = px[u], py[u], px[v], py[v]
         if u == v:
             for k, eid in enumerate(eids):
                 ang = 2 * math.pi * k / len(eids)
                 c1 = (ux + 90.0 * math.cos(ang - 0.5), uy + 90.0 * math.sin(ang - 0.5))
                 c2 = (ux + 90.0 * math.cos(ang + 0.5), uy + 90.0 * math.sin(ang + 0.5))
-                edge(eid, "path", (
-                    f'd="M {_fmt(ux)} {_fmt(uy)} '
+                curve(eid, (
+                    f"M {sx[u]} {sy[u]} "
                     f"C {_fmt(c1[0])} {_fmt(c1[1])}, {_fmt(c2[0])} {_fmt(c2[1])}, "
-                    f'{_fmt(ux)} {_fmt(uy)}" fill="none"'
+                    f"{sx[u]} {sy[u]}"
                 ))
-        elif len(eids) == 1:
-            edge(eids[0], "line", (
-                f'x1="{_fmt(ux)}" y1="{_fmt(uy)}" x2="{_fmt(vx)}" y2="{_fmt(vy)}"'
-            ))
         else:
             dx, dy = vx - ux, vy - uy
             norm = math.hypot(dx, dy) or 1.0
@@ -155,10 +163,7 @@ def render_svg(
                 off = 26.0 * (k - (len(eids) - 1) / 2)
                 cx = (ux + vx) / 2 + nx * off
                 cy = (uy + vy) / 2 + ny * off
-                edge(eid, "path", (
-                    f'd="M {_fmt(ux)} {_fmt(uy)} '
-                    f'Q {_fmt(cx)} {_fmt(cy)}, {_fmt(vx)} {_fmt(vy)}" fill="none"'
-                ))
+                curve(eid, f"M {sx[u]} {sy[u]} Q {_fmt(cx)} {_fmt(cy)}, {sx[v]} {sy[v]}")
 
     if band is not None:
         from .band import KIND_CLASP, KIND_TWIST
@@ -167,28 +172,26 @@ def render_svg(
     max_step = 0
     if coloring is not None and coloring.auto:
         max_step = max(coloring.auto.values())
+    # One fill per distinct step: no step, manual (step 0), then each blend.
+    fills: dict[int | None, str] = {None: "#ffffff", 0: "#f4a261"}
+    fill = fills[None]
+    stroke = "#333333"
     for v in range(1, m.vertex_count + 1):
-        x, y = at(v)
-        fill = "#ffffff"
         if coloring is not None:
             step = coloring.step_of(v)
-            if step == 0:
-                fill = "#f4a261"
-            elif step is not None:
-                fill = _blend(step, max_step)
-        stroke = "#333333"
+            fill = fills.get(step)
+            if fill is None:
+                fill = fills[step] = _blend(step, max_step)
         title = f"vertex {v}"
         if band is not None:
             cr = band.crossing_kind[v - 1]
-            stroke = kind_stroke.get(cr.kind, stroke)
+            stroke = kind_stroke.get(cr.kind, "#333333")
             title = f"vertex {v}: {cr.kind} {cr.owner} slot {cr.slot}"
         lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '
+            f'<circle cx="{sx[v]}" cy="{sy[v]}" r="6" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="1.5">'
-            f"<title>{title}</title></circle>"
-        )
-        lines.append(
-            f'<text x="{_fmt(x + 9)}" y="{_fmt(y - 9)}" '
+            f"<title>{title}</title></circle>\n"
+            f'<text x="{_fmt(px[v] + 9)}" y="{_fmt(py[v] - 9)}" '
             f'font-size="11" font-family="monospace">{v}</text>'
         )
     lines.append("</svg>")

@@ -14,12 +14,12 @@ from pathlib import Path
 from typing import Sequence
 
 from bandlink import BandSpec, CombinatorialMap, build_band, derived_genus, faces, validate
-from bandlink.band import KIND_TWIST, BandDiagram, _Builder
+from bandlink.band import KIND_CLASP, KIND_TWIST, BandDiagram, _Builder
 from bandlink.cmap import Strand
 from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from bandlink.hull import DEFAULT_BUDGET, HullResult
 from bandlink.percolation import Closure
-from bandlink.render import RADIUS, ROUNDS
+from bandlink.render import MARGIN, RADIUS, ROUNDS, _blend, _fmt
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # An integer whose repr alone is far longer than an error line may be.
@@ -543,6 +543,104 @@ def reference_layout(m: CombinatorialMap, comp, faces_list) -> dict[int, tuple[f
                 y += pos[u][1]
             pos[v] = (x / len(neighbors[v]), y / len(neighbors[v]))
     return pos
+
+
+def reference_svg(m: CombinatorialMap, pos, coloring=None, band=None) -> str:
+    """The SVG text ``render_svg`` wrote from the positions ``pos`` before it
+    formatted each vertex once.
+
+    Every coordinate goes through ``_fmt`` where it is written, and every
+    tinted vertex gets its own ``_blend``.  Kept as a differential oracle for
+    the SVG bytes; ``pos`` is ``render._layout(m)`` of a connected, non-empty
+    genus 0 map.
+    """
+    min_x = min(x for x, _ in pos.values()) - MARGIN
+    max_x = max(x for x, _ in pos.values()) + MARGIN
+    min_y = min(y for _, y in pos.values()) - MARGIN
+    max_y = max(y for _, y in pos.values()) + MARGIN
+    width, height = max_x - min_x, max_y - min_y
+
+    def at(v: int) -> tuple[float, float]:
+        x, y = pos[v]
+        return x - min_x, y - min_y
+
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+    ]
+
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid, (d, dp) in enumerate(m.edge_pairs, start=1):
+        u, v = m.vertex_of[d - 1], m.vertex_of[dp - 1]
+        by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
+
+    def edge(eid: int, tag: str, shape: str) -> None:
+        lines.append(
+            f'<{tag} {shape} stroke="#555" stroke-width="1.5">'
+            f"<title>edge {eid}</title></{tag}>"
+        )
+
+    for (u, v), eids in sorted(by_pair.items()):
+        ux, uy = at(u)
+        vx, vy = at(v)
+        if u == v:
+            for k, eid in enumerate(eids):
+                ang = 2 * math.pi * k / len(eids)
+                c1 = (ux + 90.0 * math.cos(ang - 0.5), uy + 90.0 * math.sin(ang - 0.5))
+                c2 = (ux + 90.0 * math.cos(ang + 0.5), uy + 90.0 * math.sin(ang + 0.5))
+                edge(eid, "path", (
+                    f'd="M {_fmt(ux)} {_fmt(uy)} '
+                    f"C {_fmt(c1[0])} {_fmt(c1[1])}, {_fmt(c2[0])} {_fmt(c2[1])}, "
+                    f'{_fmt(ux)} {_fmt(uy)}" fill="none"'
+                ))
+        elif len(eids) == 1:
+            edge(eids[0], "line", (
+                f'x1="{_fmt(ux)}" y1="{_fmt(uy)}" x2="{_fmt(vx)}" y2="{_fmt(vy)}"'
+            ))
+        else:
+            dx, dy = vx - ux, vy - uy
+            norm = math.hypot(dx, dy) or 1.0
+            nx, ny = -dy / norm, dx / norm
+            for k, eid in enumerate(eids):
+                off = 26.0 * (k - (len(eids) - 1) / 2)
+                cx = (ux + vx) / 2 + nx * off
+                cy = (uy + vy) / 2 + ny * off
+                edge(eid, "path", (
+                    f'd="M {_fmt(ux)} {_fmt(uy)} '
+                    f'Q {_fmt(cx)} {_fmt(cy)}, {_fmt(vx)} {_fmt(vy)}" fill="none"'
+                ))
+
+    kind_stroke = {KIND_CLASP: "#c0392b", KIND_TWIST: "#8e44ad"}
+    max_step = 0
+    if coloring is not None and coloring.auto:
+        max_step = max(coloring.auto.values())
+    for v in range(1, m.vertex_count + 1):
+        x, y = at(v)
+        fill = "#ffffff"
+        if coloring is not None:
+            step = coloring.step_of(v)
+            if step == 0:
+                fill = "#f4a261"
+            elif step is not None:
+                fill = _blend(step, max_step)
+        stroke = "#333333"
+        title = f"vertex {v}"
+        if band is not None:
+            cr = band.crossing_kind[v - 1]
+            stroke = kind_stroke.get(cr.kind, stroke)
+            title = f"vertex {v}: {cr.kind} {cr.owner} slot {cr.slot}"
+        lines.append(
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1.5">'
+            f"<title>{title}</title></circle>"
+        )
+        lines.append(
+            f'<text x="{_fmt(x + 9)}" y="{_fmt(y - 9)}" '
+            f'font-size="11" font-family="monospace">{v}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def _check_valences(m: CombinatorialMap) -> tuple[list[int], list[int]]:

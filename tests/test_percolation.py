@@ -1,12 +1,14 @@
 import json
 import random
+import re
 
 import pytest
 
-from bandlink import close, faces, parse_trace, trace_to_json, verify_witness
-from bandlink.errors import BandlinkError
-from bandlink.percolation import Closure, format_trace
-from helpers import random_map, sequential_close
+from bandlink import build_band, close, faces, parse_trace, trace_to_json, verify_witness
+from bandlink.errors import BandlinkError, dump_json
+from bandlink.hull import check_witness
+from bandlink.percolation import Closure, PercolationTrace, TraceEntry, format_trace
+from helpers import random_map, random_spec, sequential_close
 
 
 class TestCurl:
@@ -59,6 +61,21 @@ class TestArguments:
         coloring, _ = close(triangle, faces(triangle), [1, 1, 3])
         assert coloring.manual == frozenset({1, 3})
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "1"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda m, vs: close(m, faces(m), vs),
+        verify_witness,
+        check_witness,
+    ], ids=["close", "verify_witness", "check_witness"])
+    def test_vertex_ids_are_ints(self, triangle, call, bad):
+        # A bool, float or string id is refused by name, wherever it stands
+        # among the ids, not indexed or compared against 1..V.
+        message = f"^vertex id {re.escape(repr(bad))} is not an integer$"
+        for witness in ([bad], [1, bad], [bad, 3]):
+            with pytest.raises(BandlinkError, match=message) as err:
+                call(triangle, witness)
+            assert err.value.exit_code == 2
+
 
 class TestTraceFormats:
     def test_text_round_trip(self, triangle):
@@ -74,6 +91,32 @@ class TestTraceFormats:
     def test_text_layout(self, triangle):
         _, trace = close(triangle, faces(triangle), [1, 3])
         assert format_trace(trace) == "manual: 1 3\nstep 1 vertex 2 face 1\n"
+
+    def test_json_bytes_match_the_encoder(self):
+        # trace_to_json writes the document dump_json would, byte for byte.
+        def encoded(trace):
+            return dump_json({
+                "manual": list(trace.manual),
+                "steps": [
+                    {"step": e.step, "vertex": e.vertex, "face": e.face}
+                    for e in trace.entries
+                ],
+            })
+
+        traces = [
+            PercolationTrace(()),
+            PercolationTrace((), (TraceEntry(1, 2, 3), TraceEntry(2, 4, 1))),
+            PercolationTrace((1, 3)),
+        ]
+        rng = random.Random(28)
+        maps = [random_map(rng) for _ in range(40)]
+        maps += [build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram for _ in range(20)]
+        for m in maps:
+            manual = [v for v in range(1, m.vertex_count + 1) if rng.random() < 0.3]
+            traces.append(close(m, faces(m), manual)[1])
+        assert any(t.manual and t.entries for t in traces)
+        for trace in traces:
+            assert trace_to_json(trace) == encoded(trace)
 
     @pytest.mark.parametrize(
         "line", ["manual: 1 \uff13", "step 1 vertex 2 face 0_1"], ids=["fullwidth", "underscore"]

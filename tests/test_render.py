@@ -5,7 +5,9 @@ import pytest
 from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
 from bandlink.errors import BandlinkError
 from bandlink.render import _layout
-from helpers import circle_map, disjoint_union, random_map, random_spec, reference_layout
+from helpers import (
+    circle_map, disjoint_union, random_map, random_spec, reference_layout, reference_svg,
+)
 
 
 class TestBasics:
@@ -101,17 +103,17 @@ def _wheel(n: int) -> CombinatorialMap:
 WHEEL_HUBS = (5, 9, 17)
 
 
-def _layout_maps(triangle, curl, loop1, chain2_base) -> list[CombinatorialMap]:
+def _layout_cases(triangle, curl, loop1, chain2_base) -> list[tuple[CombinatorialMap, object]]:
+    """(map, its band diagram or None) for every map the layout tests use."""
     rng = random.Random(55)
     maps = [triangle, curl, loop1, chain2_base, _pendant_and_loop()]
     maps += [_wheel(n) for n in WHEEL_HUBS]
     maps += [circle_map(n) for n in range(1, 10)]
-    maps += [
-        build_band(random_spec(rng, cap=rng.randint(18, 26))).diagram
-        for _ in range(30)
-    ]
-    maps += [random_map(rng) for _ in range(50)]
-    return maps
+    cases = [(m, None) for m in maps]
+    bands = [build_band(random_spec(rng, cap=rng.randint(18, 26))) for _ in range(30)]
+    cases += [(bd.diagram, bd) for bd in bands]
+    cases += [(random_map(rng), None) for _ in range(50)]
+    return cases
 
 
 def _assert_layouts_match(maps) -> None:
@@ -121,7 +123,7 @@ def _assert_layouts_match(maps) -> None:
 
 class TestLayout:
     def test_matches_the_dict_relaxation(self, triangle, curl, loop1, chain2_base):
-        _assert_layouts_match(_layout_maps(triangle, curl, loop1, chain2_base))
+        _assert_layouts_match(m for m, _ in _layout_cases(triangle, curl, loop1, chain2_base))
 
         # The hand-built map relaxes a degree-1 vertex and a looped vertex.
         hub = _pendant_and_loop()
@@ -141,3 +143,23 @@ class TestLayout:
             [hub] = set(pos) - set(rim)
             assert len(wheel.vertex_cycles[hub - 1]) == n and len(rim) == n
             assert derived_genus(wheel) == 0
+
+
+class TestSvgBytes:
+    def test_matches_the_reference_formatting(self, triangle, curl, loop1, chain2_base):
+        # The SVG text, plain, tinted by a closure and with its band's kinds,
+        # against the formatting loop that wrote each coordinate where used.
+        rng = random.Random(56)
+        drawn = 0
+        for m, band in _layout_cases(triangle, curl, loop1, chain2_base):
+            if m.dart_count == 0 or derived_genus(m) != 0:
+                continue
+            pos = _layout(m)
+            manual = [v for v in range(1, m.vertex_count + 1) if rng.random() < 0.3]
+            coloring, _ = close(m, faces(m), manual)
+            for tint in (None, coloring):
+                assert render_svg(m, tint) == reference_svg(m, pos, tint)
+                if band is not None:
+                    assert render_svg(m, tint, band) == reference_svg(m, pos, tint, band)
+            drawn += 1
+        assert drawn > 50
