@@ -6,11 +6,20 @@ limits (search budget, stuck construction).  Outputs are byte stable so they
 can be diffed and golden-tested.  Each command imports only the layers it
 runs, so ``--help`` and a usage error load nothing but this module and the
 errors.
+
+A process (``python -m bandlink.cli`` or the ``bandlink`` script) enters
+through :func:`run`: :func:`main`, then the ``atexit`` handlers, a flush of
+stdout and stderr and ``os._exit``, which skips the interpreter's teardown.
+Every file a command writes is closed before ``main`` returns; when a flush
+fails, ``run`` leaves through ``sys.exit`` so the normal shutdown reports it.
+In-process callers use :func:`main`, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 from itertools import zip_longest
 
@@ -295,5 +304,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: :func:`main` on ``sys.argv``, then exit
+    without the interpreter's teardown (see the module docstring)."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        # The normal shutdown flushes again and reports what was raised.
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

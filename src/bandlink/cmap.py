@@ -137,6 +137,34 @@ class CombinatorialMap:
         )
 
     @cached_property
+    def derived_genus(self) -> int:
+        """The genus of a connected map by Euler's formula; 0 with no darts.
+
+        V - E + F is even: the signs of phi = sigma o alpha give
+        V + E - F = 2E = 0 (mod 2), so the halving is exact.
+        """
+        alpha, sigma = self.alpha, self.sigma
+        seen = [False] * (self.dart_count + 1)
+        count = 0
+        for start in range(1, self.dart_count + 1):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                d = stack.pop()
+                for nxt in (alpha[d - 1], sigma[d - 1]):
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append(nxt)
+        if count > 1:
+            raise BandlinkError(f"the map has {count} components; it must be connected")
+        if count == 0:
+            return 0
+        return (2 - self.vertex_count + self.edge_count - len(self.faces)) // 2
+
+    @cached_property
     def strands(self) -> tuple[Strand, ...]:
         """Straight-ahead walks through 4-valent vertices (2-valent pass through).
 
@@ -206,33 +234,13 @@ def faces(m: CombinatorialMap) -> tuple[Face, ...]:
 
 
 def derived_genus(m: CombinatorialMap) -> int:
-    """The genus of a connected map by Euler's formula; 0 with no darts.
+    """The genus of a connected map (computed once per map and cached).
 
     A map with more than one component is not one surface: it raises
-    :class:`BandlinkError` naming the component count.  V - E + F is even:
-    the signs of phi = sigma o alpha give V + E - F = 2E = 0 (mod 2), so the
-    halving is exact.
+    :class:`BandlinkError` naming the component count, caches nothing and
+    raises again on the next call.
     """
-    alpha, sigma = m.alpha, m.sigma
-    seen = [False] * (m.dart_count + 1)
-    count = 0
-    for start in range(1, m.dart_count + 1):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for nxt in (alpha[d - 1], sigma[d - 1]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-    if count > 1:
-        raise BandlinkError(f"the map has {count} components; it must be connected")
-    if count == 0:
-        return 0
-    return (2 - m.vertex_count + m.edge_count - len(m.faces)) // 2
+    return m.derived_genus
 
 
 def strands(m: CombinatorialMap) -> tuple[Strand, ...]:

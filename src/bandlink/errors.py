@@ -40,14 +40,16 @@ class ConstructionStuck(BandlinkError):
     """The constructive hull procedure could not complete.
 
     The failure is surfaced, never repaired: ``log`` holds the construction
-    steps taken so far so the caller can inspect where progress stopped.
+    steps taken so far so the caller can inspect where progress stopped,
+    and ``examined`` the closure engine's face visits they spent.
     """
 
     exit_code = 4
 
-    def __init__(self, message: str, log: tuple[str, ...] = ()):
+    def __init__(self, message: str, log: tuple[str, ...] = (), examined: int = 0):
         super().__init__(message)
         self.log = log
+        self.examined = examined
 
 
 def read_text(path) -> str:

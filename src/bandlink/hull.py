@@ -42,9 +42,9 @@ class HullResult(NamedTuple):
     """A witness set and how it was found; ``report`` and the ``hull`` command
     re-verify the witness.
 
-    ``examined`` counts the closure engine's face visits spent by the
-    exhaustive search (0 for the constructive route); subsets it skips cost
-    none.  ``log`` narrates constructive decisions.
+    ``examined`` counts the closure engine's face visits the search or the
+    walk spent, over every start face the walk tried; subsets the exhaustive
+    search skips cost none.  ``log`` narrates constructive decisions.
     """
 
     witness: tuple[int, ...]
@@ -147,7 +147,8 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     uncolored one, so one such step is the same test.  Twist crossings
     are never picked; they fill in once their circle is touched.  Raises
     ConstructionStuck with the decision log when no start face leads to a
-    full coloring with an n - 1 vertex witness.
+    full coloring with an n - 1 vertex witness.  Either way ``examined``
+    holds the engine's face visits.
 
     Candidate faces sit on a heap, pushed when a corner of theirs is colored
     and another is not.  A face that does not extend is dropped until then:
@@ -247,7 +248,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     for f0 in sorted(base_faces, key=lambda f: not generic(f)):
         manual = attempt(f0, log)
         if manual is not None:
-            return HullResult(tuple(sorted(manual)), "constructive", 0, tuple(log))
+            return HullResult(tuple(sorted(manual)), "constructive", engine.visits, tuple(log))
     raise ConstructionStuck(
-        "every start face led to a dead end", tuple(log)
+        "every start face led to a dead end", tuple(log), engine.visits
     )

@@ -62,6 +62,18 @@ class TestCheckSpec:
     def test_two_valent_edges_may_skip_subdivision(self, triangle):
         BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,)))
 
+    def test_rule_reads_both_ends_on_mixed_valences(self):
+        # Vertex 1 (darts 1 2 3 5) is 4-valent and vertex 2 (darts 4 6)
+        # 2-valent: edge 1 is a loop at vertex 1, edges 2 and 3 join the two.
+        # Reading the vertex of the dart one lower, at either end of an
+        # edge, flips the rule on some edge, and one of the specs shows it.
+        base = CombinatorialMap(6, (2, 1, 4, 3, 6, 5), (2, 3, 5, 6, 1, 4), 0)
+        assert [len(cyc) for cyc in base.vertex_cycles] == [4, 2]
+        bd = build_band(BandSpec(base, (1, 0, 0), ((0, 0), (0,), (0,))))
+        assert bd.n == 2
+        with pytest.raises(BandlinkError, match="^edge 1 joins two 4-valent vertices"):
+            BandSpec(base, (0, 0, 0), ((0,), (0,), (0,)))
+
     def test_lengths_must_match(self, triangle):
         with pytest.raises(BandlinkError, match="2 subdivision counts for 3 edges"):
             BandSpec(triangle, (0, 0), ((0,), (0,), (0,)))

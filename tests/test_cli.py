@@ -1,3 +1,5 @@
+import atexit
+import io
 import json
 import os
 import random
@@ -16,7 +18,7 @@ from bandlink import (
     provenance_to_json, trace_to_json, validate,
 )
 from bandlink.band import MAX_CROSSINGS
-from bandlink.cli import main
+from bandlink.cli import main, run
 from bandlink.errors import ConstructionStuck
 from bandlink.percolation import format_trace
 from helpers import (
@@ -34,7 +36,29 @@ CURLBAND = str(FIXTURES / "curlband.json")
 DEEP = "[" * 100_000 + "]" * 100_000
 EMPTY_CMAP = "cmap v1\ngenus 0\ndarts 0\nalpha\nsigma\n"
 
-# Every subcommand's --help, as CPython 3.10-3.13 all print it at 80 columns.
+# The top-level --help and every subcommand's, as CPython 3.10-3.13 all
+# print them at 80 columns.
+TOP_HELP = """\
+usage: bandlink [-h]
+                {validate,faces,strands,build-band,percolate,hull,report,render}
+                ...
+
+Command line front end.
+
+positional arguments:
+  {validate,faces,strands,build-band,percolate,hull,report,render}
+    validate            check a map or band spec and print counts
+    faces               list faces as dart and vertex walks
+    strands             list straight-ahead strands
+    build-band          build a band diagram from a spec
+    percolate           close a coloring and report coverage
+    hull                find a minimum percolating set
+    report              bounds and conclusions from a hull
+    render              draw a genus zero map as SVG
+
+options:
+  -h, --help            show this help message and exit
+"""
 HELP = {
     "validate": """\
 usage: bandlink validate [-h] path
@@ -235,6 +259,19 @@ class TestFacesAndStrands:
         assert capsys.readouterr().out == (
             "face 1: darts 1 3 2 vertices 1 3 2\n"
             "face 2: darts 4 6 5 vertices 1 2 3\n"
+        )
+
+    def test_faces_of_a_band_spec_name_their_base_faces(self, capsys):
+        assert main(["faces", CHAIN3]) == 0
+        assert capsys.readouterr().out == (
+            "face 1: darts 1 19 23 5 vertices 1 5 6 2\n"
+            "face 2: darts 2 10 18 vertices 1 3 5 origin=2\n"
+            "face 3: darts 3 7 13 9 vertices 1 2 4 3\n"
+            "face 4: darts 4 6 vertices 1 2\n"
+            "face 5: darts 8 24 16 vertices 2 6 4 origin=1\n"
+            "face 6: darts 11 15 21 17 vertices 3 4 6 5\n"
+            "face 7: darts 12 14 vertices 3 4\n"
+            "face 8: darts 20 22 vertices 5 6\n"
         )
 
     def test_faces_with_provenance(self, built, capsys):
@@ -792,6 +829,11 @@ class TestUsage:
         assert main([command, "--help"]) == 0
         assert capsys.readouterr().out == HELP[command]
 
+    def test_top_level_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == TOP_HELP
+
 
 def _fresh_modules(cwd, argv=None) -> set[str]:
     """The modules a fresh interpreter holds after ``bandlink <argv>``, or
@@ -855,6 +897,117 @@ class TestStartup:
     ], ids=lambda a: a[0])
     def test_json_loaded_only_to_read_or_write_it(self, argv, tmp_path):
         assert "json" not in _fresh_modules(tmp_path, argv)
+
+
+# The two ways into a fresh interpreter: through run, and through main.
+VIA_RUN = ["-m", "bandlink.cli"]
+VIA_MAIN = ["-c", "import sys; from bandlink.cli import main; sys.exit(main(sys.argv[1:]))"]
+
+
+def _process(head, argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    """``python <head> <argv>`` in ``cwd``, with this package importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bandlink.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, *head, *argv], cwd=cwd, env=env, stdout=stdout,
+        stderr=subprocess.PIPE, timeout=60,
+    )
+
+
+class TestProcessExit:
+    """A process leaves through ``run``: the exit handlers, a flush, then
+    ``os._exit``.  Seen from outside it is ``sys.exit(main())``."""
+
+    @pytest.mark.parametrize("argv,code", [
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["frobnicate"], 1, id="usage"),
+        pytest.param(["validate", "missing.cmap"], 2, id="missing-file"),
+        pytest.param(["percolate", CHAIN3, "--manual", "1"], 3, id="no-percolation"),
+        pytest.param(["report", "torus.json"], 4, id="stuck-walk"),
+    ])
+    @pytest.mark.usefixtures("torus_spec")
+    def test_same_output_and_exit_code_as_main(self, argv, code, tmp_path):
+        via_run = _process(VIA_RUN, argv, tmp_path)
+        via_main = _process(VIA_MAIN, argv, tmp_path)
+        assert via_run.returncode == code
+        assert via_run.stdout or via_run.stderr
+        assert (via_run.stdout, via_run.stderr, via_run.returncode) == (
+            via_main.stdout, via_main.stderr, via_main.returncode,
+        )
+
+    def test_written_file_is_whole(self, tmp_path):
+        argv = ["render", CHAIN3, "--manual", "1", "-o"]
+        assert _process(VIA_RUN, [*argv, "run.svg"], tmp_path).returncode == 0
+        assert main([*argv, str(tmp_path / "main.svg")]) == 0
+        assert (tmp_path / "run.svg").read_bytes() == (tmp_path / "main.svg").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_reader(self, unbuffered, tmp_path):
+        # Unbuffered, the write fails inside main (exit 2, one error line);
+        # buffered, the flush at exit fails and the interpreter reports it.
+        seen = []
+        for head in (VIA_RUN, VIA_MAIN):
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                proc = _process(head, ["faces", CURL], tmp_path, writer, unbuffered)
+            finally:
+                os.close(writer)
+            seen.append((proc.stderr, proc.returncode))
+        assert seen[0] == seen[1]
+        assert seen[0][1] == (2 if unbuffered else 120)
+        assert b"Broken pipe" in seen[0][0]
+
+    def test_exit_handlers_run_once(self, tmp_path):
+        code = (
+            "import atexit; from bandlink.cli import run; "
+            "atexit.register(print, 'handler ran'); run()"
+        )
+        proc = _process(["-c", code], ["validate", TRIANGLE], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"V=3 E=3 F=2 g=0\nhandler ran\n", b"",
+        )
+
+    @pytest.mark.parametrize("flush_fails", [False, True], ids=["flushed", "flush-fails"])
+    def test_steps_in_order(self, flush_fails, monkeypatch):
+        # In process, with every way out recorded: main's code leaves through
+        # os._exit, or through sys.exit when a flush raises.
+        steps = []
+
+        class Stream(io.StringIO):
+            def flush(self):
+                steps.append("flush")
+                if flush_fails:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        class Left(Exception):
+            pass
+
+        def leave(how):
+            def record(code):
+                steps.append((how, code))
+                raise Left
+            return record
+
+        monkeypatch.setattr(sys, "argv", ["bandlink", "percolate", CHAIN3, "--manual", "1"])
+        monkeypatch.setattr(sys, "stdout", Stream())
+        monkeypatch.setattr(sys, "stderr", Stream())
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: steps.append("atexit"))
+        monkeypatch.setattr(os, "_exit", leave("os._exit"))
+        monkeypatch.setattr(sys, "exit", leave("sys.exit"))
+        with pytest.raises(Left):
+            run()
+        assert sys.stdout.getvalue() == "percolates=false colored=2/6\n"
+        if flush_fails:
+            assert steps == ["atexit", "flush", ("sys.exit", 3)]
+        else:
+            assert steps == ["atexit", "flush", "flush", ("os._exit", 3)]
+
+    def test_console_script_enters_through_run(self):
+        text = (FIXTURES.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^bandlink = "bandlink\.cli:run"$', text, re.M)
 
 
 class TestDeterminism:

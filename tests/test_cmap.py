@@ -15,7 +15,7 @@ from bandlink import (
     validate,
 )
 from bandlink.cmap import cycles_of_images
-from bandlink.errors import BandlinkError
+from bandlink.errors import BandlinkError, clip_repr
 from helpers import (
     FIXTURES,
     HUGE,
@@ -65,6 +65,11 @@ class TestConstruction:
         with pytest.raises(BandlinkError, match=r"alpha image .{80}\.\.\. outside 1\.\.2") as err:
             CombinatorialMap(2, (2, image), (2, 1), 0)
         assert len(str(err.value)) < 200
+
+    def test_clip_repr_cuts_after_80_characters(self):
+        # The repr of 78 letters is 80 characters with its quotes.
+        assert clip_repr("x" * 78) == "'" + "x" * 78 + "'"
+        assert clip_repr("x" * 79) == "'" + "x" * 79 + "..."
 
 
 class TestTriangle:

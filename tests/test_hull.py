@@ -15,6 +15,7 @@ from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
 from bandlink.hull import extension_positions
 from helpers import (
     _one_cyclic_run,
+    band_spec_of,
     bench_gen,
     chain_spec,
     disjoint_union,
@@ -27,6 +28,25 @@ from helpers import (
     reference_walk,
     relabel,
 )
+
+
+def medial_twisted_bands(seed: int, tmp_path) -> dict[str, BandDiagram]:
+    """The bands of the medial-twisted benchmark workload at ``seed``, drawn
+    the way bench/workloads.py draws them: twisted plane bands, then torus
+    bands."""
+    gen, rng = bench_gen(), random.Random(seed)
+    bands = {}
+    for name, size, torus, double, twisted in (
+        ("p5", 5, False, 3, 8),
+        ("p6", 6, False, 4, 12),
+        ("t5a", 5, True, 0, 0),
+        ("t5b", 5, True, 0, 0),
+        ("t6", 6, True, 0, 0),
+    ):
+        spec = gen.medial_band(name, size, torus, rng, double, twisted)
+        spec.relabelled(rng).write(tmp_path)
+        bands[name] = build_band(load_band_spec(tmp_path / f"{name}.json"))
+    return bands
 
 
 class TestVerifyWitness:
@@ -206,6 +226,31 @@ class TestConstructive:
             assert exact.size == constructive.size
 
 
+class TestConstructiveWork:
+    """The walk's face visits, over every start face it tried, are pinned:
+    a change to the walk's work shows here exactly, with no timing noise."""
+
+    def test_medial_12_success(self):
+        bd = build_band(band_spec_of(bench_gen().medial_band("m12", 12)))
+        result = hull_constructive_band(bd)
+        assert result.size == bd.n - 1
+        assert result.examined == 18_618
+
+    def test_medial_twisted_plane_success_and_torus_dead_end(self, tmp_path):
+        bands = medial_twisted_bands(0, tmp_path)
+        assert hull_constructive_band(bands["p6"]).examined == 6_381
+        with pytest.raises(ConstructionStuck) as err:
+            hull_constructive_band(bands["t6"])
+        assert err.value.examined == 147_856
+
+    def test_no_start_face_costs_nothing(self, triangle):
+        bd = build_band(BandSpec(triangle, (0, 0, 0), ((0,), (0,), (0,))))
+        bare = BandDiagram(bd.diagram, bd.crossing_kind, (None,) * len(bd.face_provenance))
+        with pytest.raises(ConstructionStuck, match="no base-derived faces") as err:
+            hull_constructive_band(bare)
+        assert err.value.examined == 0
+
+
 class TestConstructiveAgainstRescan:
     """Same witness, log and stuck message as the walk that rescanned every
     base face after each pick, before the face frontier replaced it."""
@@ -242,22 +287,7 @@ class TestConstructiveAgainstRescan:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_medial_twisted_bands(self, seed, tmp_path):
-        # The bands of the medial-twisted benchmark workload, drawn the way
-        # bench/workloads.py draws them: twisted plane bands and torus bands.
-        gen = bench_gen()
-        rng = random.Random(seed)
-        kinds = []
-        for name, size, torus, double, twisted in (
-            ("p5", 5, False, 3, 8),
-            ("p6", 6, False, 4, 12),
-            ("t5a", 5, True, 0, 0),
-            ("t5b", 5, True, 0, 0),
-            ("t6", 6, True, 0, 0),
-        ):
-            spec = gen.medial_band(name, size, torus, rng, double, twisted)
-            spec.relabelled(rng).write(tmp_path)
-            bd = build_band(load_band_spec(tmp_path / f"{name}.json"))
-            kinds.append(self.assert_same(bd))
+        kinds = [self.assert_same(bd) for bd in medial_twisted_bands(seed, tmp_path).values()]
         assert kinds[2:] == ["stuck"] * 3
 
     def test_torus_fixture(self, torus_band):

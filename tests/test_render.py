@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from bandlink import CombinatorialMap, build_band, close, derived_genus, faces, render_svg
+from bandlink import (
+    CombinatorialMap, build_band, close, derived_genus, faces, render_svg, validate,
+)
 from bandlink.errors import BandlinkError
-from bandlink.render import _layout
+from bandlink.render import _blend, _layout
 from helpers import (
     circle_map, disjoint_union, random_map, random_spec, reference_layout, reference_svg,
 )
@@ -42,6 +44,30 @@ class TestGenusGate:
         with pytest.raises(BandlinkError, match="^the map has 2 components; it must be connected$"):
             render_svg(two)
 
+    def test_failed_component_walk_is_not_cached(self, triangle):
+        # Each call walks again and raises again, whichever comes first.
+        two = disjoint_union(triangle, triangle)
+        for check in (derived_genus, validate, render_svg, derived_genus, render_svg):
+            with pytest.raises(
+                BandlinkError, match="^the map has 2 components; it must be connected$"
+            ):
+                check(two)
+        assert "derived_genus" not in vars(two)
+
+    def test_render_after_validate_walks_once(self, chain3_band, monkeypatch):
+        walk = vars(CombinatorialMap)["derived_genus"]
+        original, calls = walk.func, []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(walk, "func", counted)
+        m = CombinatorialMap(*chain3_band.diagram._key())
+        validate(m)
+        render_svg(m)
+        assert calls == [m]
+
 
 class TestDecoration:
     def test_coloring_tints_vertices(self, triangle):
@@ -53,6 +79,13 @@ class TestDecoration:
         svg = render_svg(chain3_band.diagram, band=chain3_band)
         assert svg.count("#c0392b") == 6
         assert "<title>" in svg
+
+
+class TestBlend:
+    def test_fills_at_the_first_middle_and_last_step(self):
+        assert _blend(0, 5) == "#4a90d9"
+        assert _blend(1, 4) == "#438fb8"
+        assert _blend(5, 5) == "#2e8b57"
 
 
 class TestScaling:
