@@ -35,9 +35,9 @@ class BoundsReport(NamedTuple):
 def report(bd: BandDiagram, hull: HullResult) -> BoundsReport:
     """Combine a band diagram and a hull result into a bounds report.
 
-    The witness is verified here on a fresh closure of the diagram, whatever
-    produced it; a witness that does not percolate raises rather than
-    silently weakening the upper bound.
+    The witness is verified here by ``close``'s rounds on the diagram, not
+    by the search loop that produced it; a witness that does not percolate
+    raises rather than silently weakening the upper bound.
     """
     check_witness(bd.diagram, hull.witness)
     lower = bd.n - 1

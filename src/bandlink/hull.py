@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cmap import CombinatorialMap, faces
 from .errors import BandlinkError, BudgetExceeded, ConstructionStuck
-from .percolation import Closure, check_vertices
+from .percolation import Closure, close
 
 if TYPE_CHECKING:
     from .band import BandDiagram
@@ -40,7 +40,7 @@ DEFAULT_BUDGET = 10**8
 
 class HullResult(NamedTuple):
     """A witness set and how it was found; ``report`` and the ``hull`` command
-    re-verify the witness.
+    re-verify the witness by ``close``'s rounds, not the loop that found it.
 
     ``examined`` counts the closure engine's face visits the search or the
     walk spent, over every start face the walk tried; subsets the exhaustive
@@ -58,14 +58,13 @@ class HullResult(NamedTuple):
 
 
 def verify_witness(m: CombinatorialMap, witness) -> bool:
-    """Check on a fresh closure that a vertex set of ids in 1..V percolates."""
-    engine = Closure(m.vertex_count, faces(m))
-    engine.add(check_vertices(witness, m.vertex_count))
-    return len(engine.order) == m.vertex_count
+    """Whether a vertex set of ids in 1..V percolates, by the rounds of
+    :func:`close`: a loop neither search runs, sharing only per-face tables."""
+    return close(m, faces(m), witness)[0].complete
 
 
 def check_witness(m: CombinatorialMap, witness) -> None:
-    """Refuse a witness that does not percolate on a fresh closure of m."""
+    """Refuse a witness that :func:`verify_witness` finds does not percolate."""
     if not verify_witness(m, witness):
         raise BandlinkError(
             "witness " + " ".join(str(v) for v in witness) + " does not percolate"

@@ -82,9 +82,9 @@ class Closure:
     vertex starts there.  ``order`` lists the colored vertices in coloring
     order, so a mark is a length of it.  ``visits`` counts face visits: one
     per face at construction plus one per face each colored vertex touches.
-    :meth:`add` colors in one local loop, with no method call per vertex;
-    :meth:`color` serves :func:`close`, whose simultaneous rounds color a
-    round's vertices without running the rule.
+    :meth:`add` (one local loop), :meth:`undo` and :meth:`reset` serve the
+    searches; :meth:`color` serves :func:`close`, the witness check, whose
+    simultaneous rounds color a round's vertices without running the rule.
     """
 
     def __init__(self, vertex_count: int, faces_list: Sequence[Face]):

@@ -172,6 +172,79 @@ def band_spec_of(spec) -> BandSpec:
     )
 
 
+def _matchings(darts: list[int]):
+    """Every perfect matching of ``darts``, as a list of pairs."""
+    if not darts:
+        yield []
+        return
+    first, rest = darts[0], darts[1:]
+    for i, d in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, d), *tail]
+
+
+def _rooted_code(alpha, sigma, root: int) -> tuple[int, ...] | None:
+    """The map relabelled breadth first from ``root``, following sigma then
+    alpha, as its sigma images then its alpha images; None when that search
+    misses a dart."""
+    label = {root: 1}
+    order = [root]
+    for d in order:
+        for e in (sigma[d - 1], alpha[d - 1]):
+            if e not in label:
+                label[e] = len(order) + 1
+                order.append(e)
+    if len(order) < len(alpha):
+        return None
+    return tuple(label[sigma[d - 1]] for d in order) + tuple(label[alpha[d - 1]] for d in order)
+
+
+def census_bases(max_edges: int):
+    """Every connected map with 2- and 4-valent vertices and at most
+    ``max_edges`` edges, once per orientation-preserving isomorphism class,
+    as ``(alpha, sigma, genus)`` in canonical numbering.
+
+    Per valence sequence sigma is fixed and alpha runs over every perfect
+    matching.  An orientation-preserving isomorphism commutes with sigma and
+    alpha, so it carries the breadth-first relabelling from a root to the one
+    from the root's image: the least relabelling over all roots is a complete
+    invariant, and it is the canonical numbering.  Bases come by edge count,
+    then by that code.
+    """
+    for e in range(1, max_edges + 1):
+        darts = list(range(1, 2 * e + 1))
+        found = set()
+        for fours in range(e // 2 + 1):
+            sigma: list[int] = []
+            for k in [4] * fours + [2] * (e - 2 * fours):
+                sigma += [len(sigma) + (i + 1) % k + 1 for i in range(k)]
+            for pairs in _matchings(darts):
+                alpha = [0] * (2 * e)
+                for a, b in pairs:
+                    alpha[a - 1], alpha[b - 1] = b, a
+                if _rooted_code(alpha, sigma, 1) is not None:
+                    found.add(min(_rooted_code(alpha, sigma, r) for r in darts))
+        for code in sorted(found):
+            sigma, alpha = code[:2 * e], code[2 * e:]
+            yield alpha, sigma, derived_genus(CombinatorialMap(2 * e, alpha, sigma, 0))
+
+
+def census_specs(max_edges: int):
+    """The census bands, as ``bench/gen.py`` Specs whose ``genus`` is their
+    base's.  Base i (from 1, in :func:`census_bases` order) gives ``b<i>``,
+    with the least subdivisions and no twists; ``b<i>+s<j>``, with one more
+    subdivision point on edge j; and ``b<i>+t<j>``, with one twist on the
+    first segment of edge j."""
+    gen = bench_gen()
+    for i, (alpha, sigma, genus) in enumerate(census_bases(max_edges), start=1):
+        least = gen.Spec(f"b{i}", alpha, sigma, genus)
+        yield least
+        for j, (d, dp, k, _) in enumerate(least.edges, start=1):
+            yield gen.Spec(f"b{i}+s{j}", alpha, sigma, genus, {(d, dp): (k + 1, [0] * (k + 2))})
+        for j, (d, dp, k, _) in enumerate(least.edges, start=1):
+            yield gen.Spec(f"b{i}+t{j}", alpha, sigma, genus, {(d, dp): (k, [1] + [0] * k)})
+
+
 def random_map(rng, max_edges: int = 10) -> CombinatorialMap:
     """Connected map of any valence profile, declared genus set to derived."""
     while True:

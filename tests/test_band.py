@@ -98,6 +98,15 @@ class TestCheckSpec:
         with pytest.raises(BandlinkError, match=f"asks for {2 * k + 6} crossings"):
             BandSpec(curl, (k, 1), ((0,) * (k + 1), (0, 0)))
 
+    def test_crossing_cap_boundary(self, triangle):
+        # The cap is 10^5: the triangle's 6 clasp crossings plus 99,994
+        # twists are exactly at it, and one twist more is over.
+        BandSpec(triangle, (0, 0, 0), ((99_994,), (0,), (0,)))
+        with pytest.raises(
+            BandlinkError, match="^the spec asks for 100001 crossings; at most 100000 are built$"
+        ):
+            BandSpec(triangle, (0, 0, 0), ((99_995,), (0,), (0,)))
+
 
 class TestGenusRule:
     """A base is connected and keeps its declared genus; a disconnected base

@@ -751,6 +751,37 @@ class TestBadInputFiles:
         self.assert_one_error_line(capsys.readouterr(), tmp_path)
 
     @pytest.mark.parametrize(
+        "subdivisions,total",
+        [
+            ((49_998,), 100_002), ((50_000,), 100_006), ((50_001,), 100_002),
+            ((0, 0, 49_999), 100_004),
+        ],
+        ids=["spec-over", "early-at-cap", "early-over", "early-counts-points-only"],
+    )
+    def test_crossing_cap_boundary(self, tmp_path, capsys, subdivisions, total):
+        # load_band_spec counts 2 crossings per subdivision point before it
+        # makes the default twist lists; BandSpec then adds the triangle's 6
+        # clasp crossings.  The total in the message says which check fired:
+        # the early one only at 50,001 points (100,002), where BandSpec
+        # would have said 100,008.  An edge with no points adds nothing to
+        # the early count.
+        (tmp_path / "base.cmap").write_text(Path(TRIANGLE).read_text())
+        spec = tmp_path / "spec.json"
+        edges = [{"edge": e, "subdivisions": k} for e, k in enumerate(subdivisions, start=1)]
+        spec.write_text(json.dumps({"map": "base.cmap", "edges": edges}))
+        assert main(["build-band", str(spec)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the spec asks for {total} crossings; at most 100000 are built\n"
+        )
+
+    def test_crossing_cap_admits_its_own_count(self, tmp_path):
+        # 49,997 points: 100,000 crossings, loaded (and not built here).
+        (tmp_path / "base.cmap").write_text(Path(TRIANGLE).read_text())
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"map": "base.cmap", "edges": [{"edge": 1, "subdivisions": 49_997}]}))
+        assert load_band_spec(spec).subdivisions == (49_997, 0, 0)
+
+    @pytest.mark.parametrize(
         "argv,name,body",
         [
             (["validate", "{}"], "bad.cmap", b"cmap v1\n\xff\n"),

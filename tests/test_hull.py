@@ -8,12 +8,16 @@ from bandlink import (
     hull_constructive_band,
     hull_exact,
     load_band_spec,
+    report,
     verify_witness,
 )
 from bandlink.band import BandDiagram
+from bandlink.cli import main
 from bandlink.errors import BandlinkError, BudgetExceeded, ConstructionStuck
-from bandlink.hull import extension_positions
+from bandlink.hull import DEFAULT_BUDGET, HullResult, check_witness, extension_positions
+from bandlink.percolation import Closure
 from helpers import (
+    FIXTURES,
     _one_cyclic_run,
     band_spec_of,
     bench_gen,
@@ -56,6 +60,36 @@ class TestVerifyWitness:
         assert verify_witness(triangle, [1, 2, 3])
 
 
+class TestIndependentCheck:
+    """The witness check does not run the loop the searches run: with
+    ``Closure.add`` broken to color every vertex, the exact search offers
+    the empty set on the 3-chain, and every check refuses it."""
+
+    @pytest.fixture
+    def broken_add(self, monkeypatch):
+        def add(engine, vertices):
+            for v in range(1, len(engine.colored)):
+                if not engine.colored[v]:
+                    engine.color(v)
+
+        monkeypatch.setattr(Closure, "add", add)
+
+    def test_empty_set_refused(self, broken_add, chain3_band):
+        m = chain3_band.diagram
+        assert hull_exact(m).witness == ()
+        assert not verify_witness(m, ())
+        with pytest.raises(BandlinkError, match="^witness  does not percolate$"):
+            check_witness(m, ())
+        with pytest.raises(BandlinkError, match="^witness  does not percolate$"):
+            report(chain3_band, HullResult((), "exact"))
+
+    def test_hull_command_refuses(self, broken_add, capsys):
+        assert main(["hull", str(FIXTURES / "chain3.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness  does not percolate\n"
+
+
 class TestExact:
     def test_curl_needs_nothing(self, curl):
         result = hull_exact(curl)
@@ -83,6 +117,19 @@ class TestExact:
     def test_examined_is_reported(self, triangle):
         result = hull_exact(triangle)
         assert result.examined > 0
+        # A result made by hand has spent nothing and has no log.
+        assert HullResult((1,), "exact") == ((1,), "exact", 0, ())
+
+    def test_budget_boundary(self):
+        # The README's 10^8 by default; a budget of exactly the 8-chain's
+        # 5,298 face visits finishes, and one fewer runs out.
+        assert DEFAULT_BUDGET == 10**8
+        m = build_band(chain_spec(8)).diagram
+        result = hull_exact(m)
+        assert result.examined == 5_298
+        assert hull_exact(m, budget=result.examined) == result
+        with pytest.raises(BudgetExceeded, match=r"^hull search spent 5298 face visits \(budget 5297\)$"):
+            hull_exact(m, budget=result.examined - 1)
 
 
 class TestExactAgainstReference:

@@ -125,6 +125,11 @@ class TestTraceFormats:
         with pytest.raises(BandlinkError, match=f"line 1: bad trace line {line!r}"):
             parse_trace(line + "\n")
 
+    def test_manual_line_splits_at_its_first_colon_only(self):
+        # "1:2" is one bad id, not the manual set (1).
+        with pytest.raises(BandlinkError, match="^line 1: bad trace line 'manual: 1:2'$"):
+            parse_trace("manual: 1:2\n")
+
 
 def _engine_state(engine: Closure):
     return list(engine.count), list(engine.sum), list(engine.colored)
