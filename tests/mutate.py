@@ -1,15 +1,15 @@
 """Mutation sampler: make one small change to a module, run its tests, repeat.
 
-    python tests/mutate.py src/bandlink/hull.py tests/test_hull.py [--all]
+    python tests/mutate.py src/bandlink/hull.py tests/test_hull.py [--only K ...]
 
 Each site of the module is one of four changes: a comparison swapped (``<``
 and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``is``
 and ``is not``), ``and`` and ``or`` swapped, an ``int`` constant plus 1, or a
 ``not`` dropped.  For each site the sampler writes the mutated module
 (``ast.unparse`` of the changed tree) into a copy of the repository, runs the
-given test files there with ``-x`` and prints ``killed`` or ``SURVIVED``.
-With ``--all`` it runs the whole suite on each survivor too.  It first checks
-that the unmutated ``ast.unparse`` passes.  The source tree is never written.
+given test files there with ``-x``, runs the whole suite on each mutant they
+miss, and prints ``killed`` or ``SURVIVED``.  It first checks that the
+unmutated ``ast.unparse`` passes.  The source tree is never written.
 Standard library only.  Pytest does not collect this file, and CI does not
 run it: a sweep of one module takes minutes.
 """
@@ -93,7 +93,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="the module to mutate, relative to the repository")
     parser.add_argument("tests", nargs="+", help="the test files to run on each mutant")
-    parser.add_argument("--all", action="store_true", help="run the whole suite on survivors")
     parser.add_argument("--only", type=int, nargs="*", help="site numbers to run (default all)")
     args = parser.parse_args(argv)
     source = (ROOT / args.module).read_text(encoding="utf-8")
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
             node, _, what = found[k]
             target.write_text(mutant(source, k), encoding="utf-8")
             verdict = run_tests(work, args.tests)
-            if verdict == "SURVIVED" and args.all:
+            if verdict == "SURVIVED":
                 verdict = run_tests(work, ["tests"])
             print(f"{k:3d} {args.module}:{node.lineno} {what}: {verdict}", flush=True)
             if verdict == "SURVIVED":

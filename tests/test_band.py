@@ -91,21 +91,16 @@ class TestCheckSpec:
     def test_crossings_are_capped(self, triangle, curl):
         # Checked on the counts alone; no spec is built here.  The triangle's
         # clasps are 6 crossings; the curl's hash is 4, plus 2 per subdivision.
+        # The cap is 10^5, so one twist more than the triangle's 99,994 is over.
+        assert MAX_CROSSINGS == 10**5
         BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 6,), (0,), (0,)))
-        with pytest.raises(BandlinkError, match=f"asks for {MAX_CROSSINGS + 1} crossings"):
+        with pytest.raises(
+            BandlinkError, match="^the spec asks for 100001 crossings; at most 100000 are built$"
+        ):
             BandSpec(triangle, (0, 0, 0), ((MAX_CROSSINGS - 5,), (0,), (0,)))
         k = MAX_CROSSINGS // 2
         with pytest.raises(BandlinkError, match=f"asks for {2 * k + 6} crossings"):
             BandSpec(curl, (k, 1), ((0,) * (k + 1), (0, 0)))
-
-    def test_crossing_cap_boundary(self, triangle):
-        # The cap is 10^5: the triangle's 6 clasp crossings plus 99,994
-        # twists are exactly at it, and one twist more is over.
-        BandSpec(triangle, (0, 0, 0), ((99_994,), (0,), (0,)))
-        with pytest.raises(
-            BandlinkError, match="^the spec asks for 100001 crossings; at most 100000 are built$"
-        ):
-            BandSpec(triangle, (0, 0, 0), ((99_995,), (0,), (0,)))
 
 
 class TestGenusRule:

@@ -78,16 +78,19 @@ class TestIndependentCheck:
         m = chain3_band.diagram
         assert hull_exact(m).witness == ()
         assert not verify_witness(m, ())
-        with pytest.raises(BandlinkError, match="^witness  does not percolate$"):
+        with pytest.raises(BandlinkError, match="^witness .*does not percolate$"):
             check_witness(m, ())
-        with pytest.raises(BandlinkError, match="^witness  does not percolate$"):
+        with pytest.raises(BandlinkError, match="^witness .*does not percolate$"):
             report(chain3_band, HullResult((), "exact"))
 
     def test_hull_command_refuses(self, broken_add, capsys):
         assert main(["hull", str(FIXTURES / "chain3.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: witness  does not percolate\n"
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: witness ")
+        assert lines[0].endswith(" does not percolate")
 
 
 class TestExact:
