@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .band import BandDiagram
 from .errors import dump_json
-from .hull import HullResult, check_witness
+from .hull import HullResult, check_witness, witness_text
 
 
 class BoundsReport(NamedTuple):
@@ -72,10 +72,9 @@ def report(bd: BandDiagram, hull: HullResult) -> BoundsReport:
 
 
 def format_report(r: BoundsReport) -> str:
-    witness = " ".join(str(v) for v in r.witness) if r.witness else "-"
     lines = [
         f"n={r.n}",
-        f"lower={r.lower} upper={r.upper} witness={witness} method={r.method}",
+        f"lower={r.lower} upper={r.upper} witness={witness_text(r.witness)} method={r.method}",
     ]
     if r.conclusive:
         lines.append(

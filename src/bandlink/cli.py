@@ -147,15 +147,14 @@ def _band(bd, what: str):
 
 
 def _cmd_hull(args) -> int:
-    from .hull import check_witness, hull_constructive_band, hull_exact
+    from .hull import check_witness, hull_constructive_band, hull_exact, witness_text
     m, bd = _load(args.path, args.provenance)
     if args.constructive:
         result = hull_constructive_band(_band(bd, "hull --constructive"))
     else:
         result = hull_exact(m)
     check_witness(m, result.witness)
-    witness = " ".join(str(v) for v in result.witness) if result.witness else "-"
-    print(f"h={result.size} method={result.method} witness={witness}")
+    print(f"h={result.size} method={result.method} witness={witness_text(result.witness)}")
     return 0
 
 

@@ -18,9 +18,10 @@ size, so the witness is the one the unpruned search finds.  Neither rule
 uses the circle count.  The search meters its work in face visits against a
 budget because the space is binomial; a skipped set costs none.
 
-``hull_constructive_band`` walks a band diagram face by face and assembles a
-witness of size n - 1 directly, where n is the number of circles; it never
-searches, so it scales, but it only applies to band diagrams.
+``hull_constructive_band`` walks a band diagram face by face and returns the
+picks of the first walk that colors every vertex, whatever their number; it
+never searches, so it scales, but it only applies to band diagrams.  Whether
+a witness meets the circle count's bound is for :mod:`bandlink.bounds` to say.
 """
 
 from __future__ import annotations
@@ -63,12 +64,15 @@ def verify_witness(m: CombinatorialMap, witness) -> bool:
     return close(m, faces(m), witness)[0].complete
 
 
+def witness_text(witness) -> str:
+    """A witness as every output prints it: its ids, or ``-`` when empty."""
+    return " ".join(map(str, witness)) or "-"
+
+
 def check_witness(m: CombinatorialMap, witness) -> None:
     """Refuse a witness that :func:`verify_witness` finds does not percolate."""
     if not verify_witness(m, witness):
-        raise BandlinkError(
-            "witness " + " ".join(str(v) for v in witness) + " does not percolate"
-        )
+        raise BandlinkError(f"witness {witness_text(witness)} does not percolate")
 
 
 def hull_exact(m: CombinatorialMap, budget: int | None = None) -> HullResult:
@@ -132,7 +136,7 @@ def extension_positions(colored, corners) -> list[int] | None:
 
 
 def hull_constructive_band(bd: BandDiagram) -> HullResult:
-    """Build an (n - 1)-vertex witness by walking base-derived faces.
+    """Build a witness by walking base-derived faces.
 
     Starts from a base-derived face and colors its corners, skipping the
     largest-id one.  Corners are read in order, and one with a circle that
@@ -144,10 +148,11 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
     corners form one nonempty cyclic run and that still has a pick, and
     recloses.  Each run ends where a colored corner is followed by an
     uncolored one, so one such step is the same test.  Twist crossings
-    are never picked; they fill in once their circle is touched.  Raises
-    ConstructionStuck with the decision log when no start face leads to a
-    full coloring with an n - 1 vertex witness.  Either way ``examined``
-    holds the engine's face visits.
+    are never picked; they fill in once their circle is touched.  The picks
+    of the first walk that colors every vertex are the witness, whatever
+    their number.  Raises ConstructionStuck with the decision log only when
+    no start face colors everything.  Either way ``examined`` holds the
+    engine's face visits.
 
     Candidate faces sit on a heap, pushed when a corner of theirs is colored
     and another is not.  A face that does not extend is dropped until then:
@@ -190,7 +195,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
         return picks
 
     def attempt(f0, log: list[str]) -> set[int] | None:
-        """One pass of the walk from f0; None signals a dead end."""
+        """One pass of the walk from f0: its picks, or None at a dead end."""
         engine.reset()
         touched[:] = [False] * len(touched)
         heap: list[int] = []
@@ -213,7 +218,7 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
                         queued[i] = True
                         heappush(heap, i)
             if len(order) == m.vertex_count:
-                break
+                return manual
             while heap:
                 i = heappop(heap)
                 queued[i] = False
@@ -228,13 +233,6 @@ def hull_constructive_band(bd: BandDiagram) -> HullResult:
                 log.append(f"dead end from face {f0.id}")
                 return None
             log.append(f"face {f.id}: color " + " ".join(map(str, picks)))
-        if len(manual) != bd.n - 1:
-            log.append(
-                f"witness from face {f0.id} has {len(manual)} vertices, "
-                f"expected {bd.n - 1}"
-            )
-            return None
-        return manual
 
     # A start face whose corners all lie on distinct circles matches the
     # generic picture ("m vertices, m circle components"); try those first,

@@ -51,6 +51,13 @@ class TestInconclusiveReports:
         )
         assert not any("gap" in note for note in rep.notes)
 
+    def test_equal_bounds_without_a_conclusion_are_a_gap(self, chain3_band):
+        # The layout reads the conclusion first; only an upper bound below
+        # the lower one is a contradiction.
+        rep = report(chain3_band, hull_constructive_band(chain3_band))
+        rep = rep._replace(tunnel_number=None, splitting_genus=None, group_rank=None)
+        assert format_report(rep).endswith("\ngap=0 no conclusion\n")
+
     def test_torus_band_stays_honest(self, torus_band):
         rep = report(torus_band, hull_exact(torus_band.diagram))
         assert not rep.conclusive

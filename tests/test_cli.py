@@ -177,6 +177,16 @@ def torus_spec(tmp_path):
     return str(spec)
 
 
+@pytest.fixture()
+def twisted_loop_spec(tmp_path):
+    """A band spec over fixtures/loop1.cmap with one twist on its edge: one
+    circle clasped to itself, n=1, h=1."""
+    (tmp_path / "loop1.cmap").write_text(Path(LOOP1).read_text())
+    spec = tmp_path / "loop1.json"
+    spec.write_text(json.dumps({"map": "loop1.cmap", "edges": [{"edge": 1, "twists": [1]}]}))
+    return str(spec)
+
+
 class TestValidate:
     def test_triangle(self, capsys):
         assert main(["validate", TRIANGLE]) == 0
@@ -435,17 +445,20 @@ class TestHull:
             "  " + line + "\n" for line in exc.log
         )
 
-    def test_oversized_witness_is_logged(self, tmp_path, capsys):
-        # report's walk concedes a start face whose witness has the wrong size.
+    def test_oversized_witness_is_reported(self, tmp_path, capsys):
+        # A walk's witness one above n - 1 is an upper bound, not a dead end.
         bd = oversized_witness_band()
         (tmp_path / "b.cmap").write_text(format_cmap(bd.diagram))
         (tmp_path / "edited.json").write_text(provenance_to_json(bd))
         args = ["report", str(tmp_path / "b.cmap"), "--provenance", str(tmp_path / "edited.json")]
-        assert main(args) == 4
+        assert main(args) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: every start face led to a dead end\n")
-        assert "  witness from face 16 has 3 vertices, expected 2\n" in captured.err
+        assert captured.err == ""
+        assert captured.out == (
+            "n=3\n"
+            "lower=2 upper=3 witness=3 10 11 method=constructive\n"
+            "gap=1 no conclusion\n"
+        )
 
 
 class TestReport:
@@ -528,6 +541,24 @@ class TestReport:
         assert captured.err == (
             "error: vertex 1 has valence 2; a band diagram is 4-regular\n"
         )
+
+
+class TestTwistedLoop:
+    """One circle clasped to itself: the walk's one-vertex witness is one
+    above n - 1, as the exact search's is, so both reports give the gap."""
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["walk", "exact"])
+    def test_report_gap(self, twisted_loop_spec, exact, capsys):
+        assert main(["report", twisted_loop_spec, *exact]) == 3
+        method = "exact" if exact else "constructive"
+        assert capsys.readouterr() == (
+            f"n=1\nlower=0 upper=1 witness=1 method={method}\ngap=1 no conclusion\n",
+            "",
+        )
+
+    def test_hull_constructive(self, twisted_loop_spec, capsys):
+        assert main(["hull", twisted_loop_spec, "--constructive"]) == 0
+        assert capsys.readouterr() == ("h=1 method=constructive witness=1\n", "")
 
 
 class TestRender:
